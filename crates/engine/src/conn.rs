@@ -26,13 +26,13 @@
 //! Responses accumulate in a per-connection write buffer and are
 //! flushed **once per readiness turn**, not per reply — a pipelined
 //! batch of N requests costs a handful of write syscalls, not N (the
-//! regression test pins this via [`ConnStats::write_flushes`]).
+//! regression test pins this via `engine_conn_write_flushes_total`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -59,59 +59,28 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 /// before dropping their connections.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Per-server connection-layer counters (one instance per [`serve`]
-/// call, so tests observe their own server only). The same counts are
-/// mirrored into the global [`trace::registry`] as `engine_conn_*`
-/// metrics, which the `metrics` request exposes — catalog in
-/// `docs/OBSERVABILITY.md`.
-#[derive(Default)]
-pub struct ConnStats {
-    /// Connections accepted.
-    pub accepted: AtomicU64,
-    /// Connections closed (any reason).
-    pub closed: AtomicU64,
-    /// Text-protocol request lines processed (well- or mal-formed).
-    pub text_requests: AtomicU64,
-    /// Binary frames decoded and dispatched.
-    pub binary_frames: AtomicU64,
-    /// Frames/lines rejected by the decoder or parser.
-    pub decode_errors: AtomicU64,
-    /// Write flushes: readiness turns that issued ≥ 1 `write` for a
-    /// connection. The pipelining win shows up here — 100 pipelined
-    /// requests should cost a handful of flushes, not 100.
-    pub write_flushes: AtomicU64,
-    /// Template submissions served inline from the memoized response,
-    /// without touching the queue or a worker.
-    pub template_fast_hits: AtomicU64,
-    /// Requests submitted to the engine (either protocol).
-    pub submitted: AtomicU64,
-}
-
-impl ConnStats {
-    fn bump(counter: &AtomicU64, global: &trace::Counter) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        global.inc();
-    }
-}
-
-/// Global-registry handles mirroring [`ConnStats`] (created once per
-/// process; servers share them, which is what an operator scraping
-/// `metrics` wants).
-struct GlobalConnMetrics {
+/// The connection layer's instruments: `engine_conn_*` counters in the
+/// served engine's session registry, so they render in its `metrics`
+/// exposition (catalog in `docs/OBSERVABILITY.md`).
+struct ConnMetrics {
     accepted: Arc<trace::Counter>,
     closed: Arc<trace::Counter>,
     text_requests: Arc<trace::Counter>,
     binary_frames: Arc<trace::Counter>,
     decode_errors: Arc<trace::Counter>,
+    /// Readiness turns that issued ≥ 1 `write` for a connection. The
+    /// pipelining win shows up here — 100 pipelined requests should cost
+    /// a handful of flushes, not 100.
     write_flushes: Arc<trace::Counter>,
+    /// Template submissions served inline from the memoized response,
+    /// without touching the queue or a worker.
     template_fast_hits: Arc<trace::Counter>,
     submitted: Arc<trace::Counter>,
 }
 
-impl GlobalConnMetrics {
-    fn new() -> GlobalConnMetrics {
-        let reg = trace::registry();
-        GlobalConnMetrics {
+impl ConnMetrics {
+    fn register(reg: &trace::Registry) -> ConnMetrics {
+        ConnMetrics {
             accepted: reg.counter("engine_conn_accepted_total", "connections accepted"),
             closed: reg.counter("engine_conn_closed_total", "connections closed"),
             text_requests: reg.counter(
@@ -222,22 +191,7 @@ pub fn serve(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    serve_with_stats(engine, listener, stop, Arc::new(ConnStats::default()))
-}
-
-/// [`serve`] with caller-visible [`ConnStats`] (tests and loadgen use
-/// this to observe flush batching and fast-path hits).
-///
-/// # Errors
-///
-/// As for [`serve`].
-pub fn serve_with_stats(
-    engine: Arc<Engine>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    stats: Arc<ConnStats>,
-) -> std::io::Result<()> {
-    let global = GlobalConnMetrics::new();
+    let m = ConnMetrics::register(engine.session().registry());
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
     let waker = Waker::new()?;
@@ -268,7 +222,7 @@ pub fn serve_with_stats(
                             next_token += 1;
                             poller.register(stream.as_raw_fd(), token, Interest::READ)?;
                             conns.insert(token, Conn::new(stream));
-                            ConnStats::bump(&stats.accepted, &global.accepted);
+                            m.accepted.inc();
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -279,16 +233,7 @@ pub fn serve_with_stats(
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if ev.readable {
-                            read_turn(
-                                conn,
-                                token,
-                                &engine,
-                                &stop,
-                                &stats,
-                                &global,
-                                &completions,
-                                &waker,
-                            );
+                            read_turn(conn, token, &engine, &stop, &m, &completions, &waker);
                         }
                         // Writability is consumed by the flush pass below.
                     }
@@ -320,7 +265,7 @@ pub fn serve_with_stats(
         // (legacy code flushed per reply line).
         let mut to_close: Vec<usize> = Vec::new();
         for (&token, conn) in conns.iter_mut() {
-            flush_conn(conn, &stats, &global);
+            flush_conn(conn, &m);
             let idle =
                 conn.text_slots.is_empty() && conn.pending_bin.is_empty() && conn.wbuf.is_empty();
             if conn.dead || (conn.closing && idle) {
@@ -348,7 +293,7 @@ pub fn serve_with_stats(
         for token in to_close {
             if let Some(conn) = conns.remove(&token) {
                 let _ = poller.deregister(conn.stream.as_raw_fd());
-                ConnStats::bump(&stats.closed, &global.closed);
+                m.closed.inc();
             }
         }
     }
@@ -360,7 +305,7 @@ pub fn serve_with_stats(
     for (_, mut conn) in conns.drain() {
         let _ = poller.deregister(conn.stream.as_raw_fd());
         if conn.dead {
-            ConnStats::bump(&stats.closed, &global.closed);
+            m.closed.inc();
             continue;
         }
         while let Some(slot) = conn.text_slots.pop_front() {
@@ -385,14 +330,14 @@ pub fn serve_with_stats(
             }
         }
         if !conn.wbuf.is_empty() {
-            ConnStats::bump(&stats.write_flushes, &global.write_flushes);
+            m.write_flushes.inc();
             conn.stream.set_nonblocking(false).ok();
             conn.stream
                 .set_write_timeout(Some(Duration::from_secs(2)))
                 .ok();
             let _ = conn.stream.write_all(&conn.wbuf);
         }
-        ConnStats::bump(&stats.closed, &global.closed);
+        m.closed.inc();
     }
     Ok(())
 }
@@ -406,14 +351,12 @@ fn wait_until(ticket: &Ticket, deadline: Instant) -> Option<Result<Response, Eng
 }
 
 /// Reads everything currently available on `conn` and processes it.
-#[allow(clippy::too_many_arguments)]
 fn read_turn(
     conn: &mut Conn,
     token: usize,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
@@ -453,25 +396,19 @@ fn read_turn(
         }
     }
     match conn.proto {
-        Protocol::Binary => {
-            process_binary(conn, token, engine, stop, stats, global, completions, waker)
-        }
-        Protocol::Text => {
-            process_text(conn, token, engine, stop, stats, global, completions, waker)
-        }
+        Protocol::Binary => process_binary(conn, token, engine, stop, m, completions, waker),
+        Protocol::Text => process_text(conn, token, engine, stop, m, completions, waker),
         Protocol::Undecided => unreachable!("decided above"),
     }
 }
 
 /// Decodes and dispatches every complete binary frame in `conn.rbuf`.
-#[allow(clippy::too_many_arguments)]
 fn process_binary(
     conn: &mut Conn,
     token: usize,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
@@ -480,24 +417,14 @@ fn process_binary(
             Ok(DecodeStep::Incomplete) => return,
             Ok(DecodeStep::Ready { frame, consumed }) => {
                 conn.rbuf.drain(..consumed);
-                ConnStats::bump(&stats.binary_frames, &global.binary_frames);
-                handle_frame(
-                    conn,
-                    token,
-                    frame,
-                    engine,
-                    stop,
-                    stats,
-                    global,
-                    completions,
-                    waker,
-                );
+                m.binary_frames.inc();
+                handle_frame(conn, token, frame, engine, stop, m, completions, waker);
                 if conn.closing {
                     return;
                 }
             }
             Err(e) => {
-                ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                m.decode_errors.inc();
                 match e.recoverable() {
                     Some(consumed) => {
                         // Frame boundary held: report, skip, keep serving
@@ -531,8 +458,7 @@ fn handle_frame(
     frame: Frame,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
@@ -584,28 +510,17 @@ fn handle_frame(
                 .and_then(|prio| fpopb::decode_request(&frame.body, 1).map(|(req, _)| (req, prio)));
             match parsed {
                 Err(reason) => {
-                    ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                    m.decode_errors.inc();
                     conn.push_err_frame(corr, ErrCode::Malformed, &reason);
                 }
                 Ok((req, prio)) => {
-                    submit_binary(
-                        conn,
-                        token,
-                        corr,
-                        req,
-                        prio,
-                        engine,
-                        stats,
-                        global,
-                        completions,
-                        waker,
-                    );
+                    submit_binary(conn, token, corr, req, prio, engine, m, completions, waker);
                 }
             }
         }
         FrameType::RegisterTemplate => match fpopb::decode_request(&frame.body, 0) {
             Err(reason) => {
-                ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                m.decode_errors.inc();
                 conn.push_err_frame(corr, ErrCode::Malformed, &reason);
             }
             Ok((req, _)) => match engine.register_template(req) {
@@ -624,7 +539,7 @@ fn handle_frame(
                 .and_then(|prio| fpopb::r_digest(&frame.body, 1).map(|(digest, _)| (digest, prio)));
             match parsed {
                 Err(reason) => {
-                    ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                    m.decode_errors.inc();
                     conn.push_err_frame(corr, ErrCode::Malformed, &reason);
                 }
                 Ok((digest, prio)) => {
@@ -632,7 +547,7 @@ fn handle_frame(
                     // queue admission, no worker, no parsing. This is
                     // the 10× lever of the pipelined-warm benchmark.
                     if let Some(resp) = engine.template_response(digest) {
-                        ConnStats::bump(&stats.template_fast_hits, &global.template_fast_hits);
+                        m.template_fast_hits.inc();
                         conn.push_frame(
                             FrameType::Ok,
                             corr,
@@ -652,8 +567,7 @@ fn handle_frame(
                             Request::RunTemplate { digest },
                             prio,
                             engine,
-                            stats,
-                            global,
+                            m,
                             completions,
                             waker,
                         );
@@ -667,7 +581,7 @@ fn handle_frame(
         | FrameType::Ok
         | FrameType::Err
         | FrameType::TemplateId => {
-            ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+            m.decode_errors.inc();
             conn.push_err_frame(corr, ErrCode::Malformed, "response frame sent to server");
         }
     }
@@ -684,15 +598,14 @@ fn submit_binary(
     req: Request,
     prio: Priority,
     engine: &Arc<Engine>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
     match engine.submit_nowait(req, prio, None) {
         Err(e) => conn.push_err_frame(corr, ErrCode::of_engine(&e), &e.to_string()),
         Ok(ticket) => {
-            ConnStats::bump(&stats.submitted, &global.submitted);
+            m.submitted.inc();
             let completions = Arc::clone(completions);
             let waker = waker.clone();
             ticket.on_done(move || {
@@ -708,21 +621,19 @@ fn submit_binary(
 }
 
 /// Processes every complete text line in `conn.rbuf`.
-#[allow(clippy::too_many_arguments)]
 fn process_text(
     conn: &mut Conn,
     token: usize,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
     loop {
         let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
             if conn.rbuf.len() > MAX_TEXT_LINE {
-                ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                m.decode_errors.inc();
                 conn.text_slots.push_back(TextSlot::Ready(format!(
                     "err {}",
                     proto::escape(&format!(
@@ -740,7 +651,7 @@ fn process_text(
             Err(_) => {
                 // Same contract the fuzzer pins: invalid UTF-8 gets an
                 // error and the connection may close.
-                ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                m.decode_errors.inc();
                 conn.text_slots.push_back(TextSlot::Ready(
                     "err protocol line is not valid UTF-8".to_string(),
                 ));
@@ -752,18 +663,8 @@ fn process_text(
         if line.trim().is_empty() {
             continue;
         }
-        ConnStats::bump(&stats.text_requests, &global.text_requests);
-        handle_text_line(
-            conn,
-            token,
-            &line,
-            engine,
-            stop,
-            stats,
-            global,
-            completions,
-            waker,
-        );
+        m.text_requests.inc();
+        handle_text_line(conn, token, &line, engine, stop, m, completions, waker);
         if conn.closing {
             return;
         }
@@ -778,14 +679,13 @@ fn handle_text_line(
     line: &str,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
-    stats: &Arc<ConnStats>,
-    global: &GlobalConnMetrics,
+    m: &ConnMetrics,
     completions: &Arc<Mutex<Vec<(usize, u64)>>>,
     waker: &Waker,
 ) {
     let slot = match proto::parse_command(line) {
         Err(e) => {
-            ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+            m.decode_errors.inc();
             TextSlot::Ready(format!("err {}", proto::escape(&e)))
         }
         Ok(proto::Command::Ping) => TextSlot::Ready("ok pong".to_string()),
@@ -810,7 +710,7 @@ fn handle_text_line(
             match engine.submit_nowait(request, priority, None) {
                 Err(e) => TextSlot::Ready(proto::render_result(&Err(e))),
                 Ok(ticket) => {
-                    ConnStats::bump(&stats.submitted, &global.submitted);
+                    m.submitted.inc();
                     let completions = Arc::clone(completions);
                     let waker = waker.clone();
                     ticket.on_done(move || {
@@ -882,11 +782,11 @@ fn drain_text_slots(conn: &mut Conn) {
 }
 
 /// Writes as much of `conn.wbuf` as the socket accepts, once per turn.
-fn flush_conn(conn: &mut Conn, stats: &Arc<ConnStats>, global: &GlobalConnMetrics) {
+fn flush_conn(conn: &mut Conn, m: &ConnMetrics) {
     if conn.wbuf.is_empty() || conn.dead {
         return;
     }
-    ConnStats::bump(&stats.write_flushes, &global.write_flushes);
+    m.write_flushes.inc();
     let mut written = 0;
     while written < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[written..]) {
@@ -919,7 +819,6 @@ mod tests {
         Arc<Engine>,
         std::net::SocketAddr,
         Arc<AtomicBool>,
-        Arc<ConnStats>,
         ServerHandle,
     ) {
         let engine = Arc::new(Engine::start(EngineConfig {
@@ -930,19 +829,26 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ConnStats::default());
         let handle = {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || serve_with_stats(engine, listener, stop, stats))
+            std::thread::spawn(move || serve(engine, listener, stop))
         };
-        (engine, addr, stop, stats, handle)
+        (engine, addr, stop, handle)
+    }
+
+    /// A connection-layer counter from the served engine's registry.
+    fn conn_counter(engine: &Engine, name: &str) -> u64 {
+        engine
+            .session()
+            .registry()
+            .counter_value(name)
+            .expect("serve registers the engine_conn_* counters")
     }
 
     #[test]
     fn binary_ping_submit_and_shutdown() {
-        let (engine, addr, _stop, stats, handle) = start_server();
+        let (engine, addr, _stop, handle) = start_server();
         let mut client = Client::connect(addr).unwrap();
         let corr = client.send_ping().unwrap();
         let frame = client.recv().unwrap();
@@ -959,13 +865,13 @@ mod tests {
         assert_eq!(frame.corr, corr);
         assert!(matches!(fpopb::decode_reply(&frame).unwrap(), Reply::Ok(_)));
         handle.join().unwrap().unwrap();
-        assert!(stats.binary_frames.load(Ordering::Relaxed) >= 3);
+        assert_eq!(conn_counter(&engine, "engine_conn_binary_frames_total"), 3);
         engine.shutdown().unwrap();
     }
 
     #[test]
     fn text_protocol_still_served() {
-        let (engine, addr, stop, _stats, handle) = start_server();
+        let (engine, addr, stop, handle) = start_server();
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"ping\nstats\n").unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -982,7 +888,7 @@ mod tests {
 
     #[test]
     fn text_replies_stay_in_order_across_slow_requests() {
-        let (engine, addr, stop, _stats, handle) = start_server();
+        let (engine, addr, stop, handle) = start_server();
         let mut stream = TcpStream::connect(addr).unwrap();
         // A slow elaboration pipelined before two instant commands: the
         // replies must come back in request order regardless.
@@ -1011,7 +917,7 @@ mod tests {
 
     #[test]
     fn templates_register_and_fast_path() {
-        let (engine, addr, stop, stats, handle) = start_server();
+        let (engine, addr, stop, handle) = start_server();
         let mut client = Client::connect(addr).unwrap();
         let req = Request::CheckSource {
             source: "Family T.\n  FInductive num := n_zero | n_one.\n\
@@ -1031,7 +937,10 @@ mod tests {
             Reply::Ok(text) => text,
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(stats.template_fast_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            conn_counter(&engine, "engine_conn_template_fast_hits_total"),
+            0
+        );
 
         // Pipelined storm: all served from the memo, inline.
         let n = 50;
@@ -1054,7 +963,10 @@ mod tests {
         }
         assert_eq!(seen.len(), n);
         assert!(corrs.iter().all(|c| seen.contains(c)));
-        assert_eq!(stats.template_fast_hits.load(Ordering::Relaxed), n as u64);
+        assert_eq!(
+            conn_counter(&engine, "engine_conn_template_fast_hits_total"),
+            n as u64
+        );
 
         // Unknown digest errors cleanly.
         let corr = client
@@ -1074,7 +986,7 @@ mod tests {
 
     #[test]
     fn hello_negotiates_version() {
-        let (engine, addr, stop, _stats, handle) = start_server();
+        let (engine, addr, stop, handle) = start_server();
         let mut client = Client::connect(addr).unwrap();
         let corr = client.send_hello(7).unwrap();
         let frame = client.recv().unwrap();

@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use families_stlc::build_lattice_subset_parallel_with;
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
+use trace::{Counter, Gauge, Histogram, Registry};
 
 use crate::queue::PrioQueue;
 use crate::request::{EngineError, Priority, Request, Response};
@@ -150,52 +151,124 @@ pub struct EngineMetrics {
     pub queue_depth: u64,
 }
 
-struct Metrics {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    dedup_hits: AtomicU64,
-    rejected: AtomicU64,
-    /// Total nanoseconds workers spent executing requests (busy time);
-    /// utilization = busy / (workers × uptime).
-    busy_nanos: AtomicU64,
-    /// Requests recorded in the slow-elaboration log.
-    slow_logged: AtomicU64,
-    /// Templates registered (binary-protocol `REGISTER_TEMPLATE`).
-    templates_registered: AtomicU64,
-    /// Template submissions answered from the memoized first response.
-    template_memo_hits: AtomicU64,
+/// The engine's instruments, registered once at boot in its session's
+/// registry (so [`Engine::prometheus`] is that registry's rendering).
+/// Gauges whose value is read from elsewhere at render time are set by
+/// [`Shared::prometheus`]; constant gauges are set at registration.
+struct Instruments {
+    submitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    expired: Arc<Counter>,
+    cancelled: Arc<Counter>,
+    dedup_hits: Arc<Counter>,
+    rejected: Arc<Counter>,
+    slow_logged: Arc<Counter>,
+    templates_registered: Arc<Counter>,
+    template_memo_hits: Arc<Counter>,
+    /// Microseconds workers spent executing requests; utilization =
+    /// busy / (workers × uptime).
+    busy_micros: Arc<Counter>,
+    uptime_micros: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    cached_proofs: Arc<Gauge>,
     /// Queue wait (admission → dequeue), microseconds.
-    wait_micros: trace::Histogram,
+    wait_micros: Arc<Histogram>,
     /// Service (execution) time, microseconds.
-    service_micros: trace::Histogram,
+    service_micros: Arc<Histogram>,
 }
 
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            slow_logged: AtomicU64::new(0),
-            templates_registered: AtomicU64::new(0),
-            template_memo_hits: AtomicU64::new(0),
-            wait_micros: trace::Histogram::new(),
-            service_micros: trace::Histogram::new(),
+impl Instruments {
+    fn register(
+        reg: &Registry,
+        queue_capacity: usize,
+        workers: usize,
+        sched_workers: usize,
+    ) -> Instruments {
+        let constant = [
+            (
+                "engine_queue_capacity",
+                "bounded queue capacity (backpressure threshold)",
+                queue_capacity,
+            ),
+            (
+                "engine_workers",
+                "worker threads serving the queue",
+                workers,
+            ),
+            (
+                "engine_sched_workers",
+                "task-DAG scheduler threads inside each BuildLattice request",
+                sched_workers,
+            ),
+        ];
+        for (name, help, v) in constant {
+            reg.gauge(name, help).set(v as i64);
         }
-    }
-}
-
-impl Metrics {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        Instruments {
+            submitted: reg.counter("engine_submitted_total", "requests accepted into the queue"),
+            completed: reg.counter(
+                "engine_completed_total",
+                "requests that executed and returned Ok",
+            ),
+            failed: reg.counter(
+                "engine_failed_total",
+                "requests that executed and returned Err",
+            ),
+            expired: reg.counter(
+                "engine_expired_total",
+                "requests whose deadline passed while queued",
+            ),
+            cancelled: reg.counter(
+                "engine_cancelled_total",
+                "requests cancelled before execution",
+            ),
+            dedup_hits: reg.counter(
+                "engine_dedup_hits_total",
+                "submissions coalesced onto an identical in-flight request",
+            ),
+            rejected: reg.counter(
+                "engine_rejected_total",
+                "submissions rejected by backpressure",
+            ),
+            slow_logged: reg.counter(
+                "engine_slow_logged_total",
+                "requests recorded in the slow-elaboration log",
+            ),
+            templates_registered: reg.counter(
+                "engine_templates_registered_total",
+                "templates registered via the binary protocol",
+            ),
+            template_memo_hits: reg.counter(
+                "engine_template_memo_hits_total",
+                "template submissions answered from the memoized first response",
+            ),
+            busy_micros: reg.counter(
+                "engine_worker_busy_micros_total",
+                "microseconds workers spent executing requests; \
+                 utilization = busy / (workers * uptime)",
+            ),
+            uptime_micros: reg.counter(
+                "engine_uptime_micros_total",
+                "microseconds since the engine booted",
+            ),
+            queue_depth: reg.gauge(
+                "engine_queue_depth",
+                "jobs waiting in the bounded priority queue",
+            ),
+            cached_proofs: reg.gauge(
+                "fpop_session_cached_proofs",
+                "proofs resident in the shared store right now",
+            ),
+            wait_micros: reg.histogram(
+                "engine_wait_micros",
+                "queue wait from admission to dequeue, microseconds",
+            ),
+            service_micros: reg.histogram(
+                "engine_service_micros",
+                "request service (execution) time, microseconds",
+            ),
+        }
     }
 }
 
@@ -392,7 +465,7 @@ struct Shared {
     session: Arc<Session>,
     queue: PrioQueue<Job>,
     inflight: Mutex<HashMap<u64, Arc<JobState>>>,
-    metrics: Metrics,
+    metrics: Instruments,
     /// Registry of every theorem any request has elaborated, keyed by
     /// `(family, field)`, holding the qualified statement display.
     theorems: Mutex<HashMap<(String, String), String>>,
@@ -411,8 +484,6 @@ struct Shared {
     slow_threshold: Duration,
     /// Retention of the slow log (top-N).
     slow_capacity: usize,
-    /// Worker-pool size (0 for inert test engines).
-    worker_count: usize,
     /// Resolved task-DAG worker count for `BuildLattice` requests.
     sched_workers: usize,
     /// When this engine booted (denominator of the utilization gauge).
@@ -579,7 +650,7 @@ impl Shared {
                 EngineError::Failed(format!("no template registered under digest {digest:016x}"))
             })?;
             if let Some(memo) = &tpl.memo {
-                Metrics::bump(&self.metrics.template_memo_hits);
+                self.metrics.template_memo_hits.inc();
                 return Ok(memo.clone());
             }
             (tpl.request.clone(), tpl.program.clone())
@@ -621,7 +692,7 @@ impl Shared {
             }
             _ => Vec::new(),
         };
-        Metrics::bump(&self.metrics.slow_logged);
+        self.metrics.slow_logged.inc();
         let mut slow = self.slow.lock().expect("slow log poisoned");
         slow.push(SlowEntry {
             label,
@@ -633,188 +704,27 @@ impl Shared {
     }
 
     /// Renders the engine's full metric surface as Prometheus-style text:
-    /// scheduling counters, queue depth/capacity, wait & service-time
-    /// histograms, worker utilization inputs, the shared session's cache
-    /// counters (count-for-count the same values as
-    /// [`Session::snapshot_stats`]), and finally every metric in the
-    /// global [`trace::registry`] (e.g. the elaborator's per-provenance
-    /// cache counters).
+    /// its session's registry, after setting the gauges whose values are
+    /// read at render time.
     fn prometheus(&self) -> String {
-        use trace::metrics::{render_counter, render_gauge, render_histogram};
         let m = &self.metrics;
-        let mut out = String::with_capacity(4096);
-        render_counter(
-            &mut out,
-            "engine_submitted_total",
-            "requests accepted into the queue",
-            m.submitted.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_completed_total",
-            "requests that executed and returned Ok",
-            m.completed.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_failed_total",
-            "requests that executed and returned Err",
-            m.failed.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_expired_total",
-            "requests whose deadline passed while queued",
-            m.expired.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_cancelled_total",
-            "requests cancelled before execution",
-            m.cancelled.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_dedup_hits_total",
-            "submissions coalesced onto an identical in-flight request",
-            m.dedup_hits.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_rejected_total",
-            "submissions rejected by backpressure",
-            m.rejected.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_slow_logged_total",
-            "requests recorded in the slow-elaboration log",
-            m.slow_logged.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_templates_registered_total",
-            "templates registered via the binary protocol",
-            m.templates_registered.load(Ordering::Relaxed),
-        );
-        render_counter(
-            &mut out,
-            "engine_template_memo_hits_total",
-            "template submissions answered from the memoized first response",
-            m.template_memo_hits.load(Ordering::Relaxed),
-        );
-        render_gauge(
-            &mut out,
-            "engine_queue_depth",
-            "jobs waiting in the bounded priority queue",
-            self.queue.len() as i64,
-        );
-        render_gauge(
-            &mut out,
-            "engine_queue_capacity",
-            "bounded queue capacity (backpressure threshold)",
-            self.queue.capacity() as i64,
-        );
-        render_gauge(
-            &mut out,
-            "engine_workers",
-            "worker threads serving the queue",
-            self.worker_count as i64,
-        );
-        render_gauge(
-            &mut out,
-            "engine_sched_workers",
-            "task-DAG scheduler threads inside each BuildLattice request",
-            self.sched_workers as i64,
-        );
-        render_counter(
-            &mut out,
-            "engine_uptime_micros_total",
-            "microseconds since the engine booted",
-            self.started.elapsed().as_micros() as u64,
-        );
-        render_counter(
-            &mut out,
-            "engine_worker_busy_micros_total",
-            "microseconds workers spent executing requests; \
-             utilization = busy / (workers * uptime)",
-            m.busy_nanos.load(Ordering::Relaxed) / 1_000,
-        );
-        render_histogram(
-            &mut out,
-            "engine_wait_micros",
-            "queue wait from admission to dequeue, microseconds",
-            &m.wait_micros.snapshot(),
-        );
-        render_histogram(
-            &mut out,
-            "engine_service_micros",
-            "request service (execution) time, microseconds",
-            &m.service_micros.snapshot(),
-        );
-        let s = self.session.snapshot_stats();
-        render_counter(
-            &mut out,
-            "fpop_session_cache_hits_total",
-            "proof-cache lookups answered from the store or an overlay",
-            s.hits,
-        );
-        render_counter(
-            &mut out,
-            "fpop_session_cache_misses_total",
-            "proof-cache lookups that forced a fresh proof run",
-            s.misses,
-        );
-        render_counter(
-            &mut out,
-            "fpop_session_cache_inserts_total",
-            "proofs committed into the shared store by transactions",
-            s.inserts,
-        );
-        render_gauge(
-            &mut out,
-            "fpop_session_cached_proofs",
-            "proofs resident in the shared store right now",
-            s.cached_proofs as i64,
-        );
-        let code = self.session.code_cache().stats();
-        render_counter(
-            &mut out,
-            "fpop_session_code_cache_hits_total",
-            "compiled-code lookups answered from the session cache",
-            code.hits,
-        );
-        render_counter(
-            &mut out,
-            "fpop_session_code_cache_misses_total",
-            "compiled-code lookups that missed the session cache",
-            code.misses,
-        );
-        render_counter(
-            &mut out,
-            "fpop_session_code_compiled_total",
-            "call-graph closures compiled into the session cache",
-            code.compiled,
-        );
-        render_counter(
-            &mut out,
-            "fpop_session_code_rejected_total",
-            "closures judged not compilable (cached negative verdicts)",
-            code.rejected,
-        );
-        out.push_str(&trace::registry().render());
-        out
+        m.queue_depth.set(self.queue.len() as i64);
+        m.uptime_micros
+            .raise_to(self.started.elapsed().as_micros() as u64);
+        m.cached_proofs.set(self.session.cached_proofs() as i64);
+        self.session.registry().render()
     }
 
     fn metrics_snapshot(&self) -> EngineMetrics {
+        let m = &self.metrics;
         EngineMetrics {
-            submitted: self.metrics.submitted.load(Ordering::Relaxed),
-            completed: self.metrics.completed.load(Ordering::Relaxed),
-            failed: self.metrics.failed.load(Ordering::Relaxed),
-            expired: self.metrics.expired.load(Ordering::Relaxed),
-            cancelled: self.metrics.cancelled.load(Ordering::Relaxed),
-            dedup_hits: self.metrics.dedup_hits.load(Ordering::Relaxed),
-            rejected: self.metrics.rejected.load(Ordering::Relaxed),
+            submitted: m.submitted.get(),
+            completed: m.completed.get(),
+            failed: m.failed.get(),
+            expired: m.expired.get(),
+            cancelled: m.cancelled.get(),
+            dedup_hits: m.dedup_hits.get(),
+            rejected: m.rejected.get(),
             queue_depth: self.queue.len() as u64,
         }
     }
@@ -832,16 +742,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 fn worker_loop(shared: Arc<Shared>) {
+    let m = &shared.metrics;
+    // This worker's busy time, kept in nanoseconds so the shared
+    // microsecond counter loses less than 1 µs per worker, not per request.
+    let mut busy_nanos = 0u128;
     while let Some(job) = shared.queue.pop() {
-        shared
-            .metrics
-            .wait_micros
-            .observe(job.accepted_at.elapsed());
+        m.wait_micros.observe(job.accepted_at.elapsed());
         let result = if job.state.cancelled.load(Ordering::Relaxed) {
-            Metrics::bump(&shared.metrics.cancelled);
+            m.cancelled.inc();
             Err(EngineError::Cancelled)
         } else if job.state.deadline.is_some_and(|d| Instant::now() > d) {
-            Metrics::bump(&shared.metrics.expired);
+            m.expired.inc();
             Err(EngineError::DeadlineExpired)
         } else {
             // Contain panics: an elaboration panic must neither kill this
@@ -862,16 +773,15 @@ fn worker_loop(shared: Arc<Shared>) {
                     })
             };
             let service = service_started.elapsed();
-            shared.metrics.service_micros.observe(service);
-            shared
-                .metrics
-                .busy_nanos
-                .fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
+            m.service_micros.observe(service);
+            let busy_before = busy_nanos / 1_000;
+            busy_nanos += service.as_nanos();
+            m.busy_micros.add((busy_nanos / 1_000 - busy_before) as u64);
             shared.note_slow(label, service, &r);
-            Metrics::bump(match &r {
-                Ok(_) => &shared.metrics.completed,
-                Err(_) => &shared.metrics.failed,
-            });
+            match &r {
+                Ok(_) => m.completed.inc(),
+                Err(_) => m.failed.inc(),
+            }
             r
         };
         // Retire the dedup entry *before* publishing: after this point a
@@ -946,13 +856,7 @@ impl Engine {
     /// is logged to stderr, retained for [`Engine::load_error`], and the
     /// engine proceeds with an empty cache.
     pub fn start(config: EngineConfig) -> Engine {
-        Engine::start_with_session(config, Session::new())
-    }
-
-    /// [`Engine::start`] against a caller-provided session (tests use
-    /// this to pre-seed or share the session).
-    pub fn start_with_session(config: EngineConfig, session: Arc<Session>) -> Engine {
-        Engine::boot(config, session, true)
+        Engine::boot(config, Session::new(), true)
     }
 
     /// An engine with no worker threads: jobs queue but never execute.
@@ -1009,11 +913,22 @@ impl Engine {
         } else {
             0
         };
+        let sched_workers = if config.sched_workers == 0 {
+            fpop::sched::default_workers()
+        } else {
+            config.sched_workers
+        };
+        let metrics = Instruments::register(
+            session.registry(),
+            config.queue_capacity,
+            worker_count,
+            sched_workers,
+        );
         let shared = Arc::new(Shared {
             session,
             queue: PrioQueue::new(config.queue_capacity),
             inflight: Mutex::new(HashMap::new()),
-            metrics: Metrics::default(),
+            metrics,
             theorems: Mutex::new(HashMap::new()),
             sigs: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
@@ -1021,12 +936,7 @@ impl Engine {
             slow: Mutex::new(Vec::new()),
             slow_threshold: config.slow_threshold,
             slow_capacity: config.slow_log_capacity,
-            worker_count,
-            sched_workers: if config.sched_workers == 0 {
-                fpop::sched::default_workers()
-            } else {
-                config.sched_workers
-            },
+            sched_workers,
             started: Instant::now(),
             #[cfg(test)]
             panic_marker: Mutex::new(None),
@@ -1156,7 +1066,7 @@ impl Engine {
                 // Coalesce only onto a job whose deadline covers ours.
                 Some(existing) if deadline_covers(existing.deadline, deadline) => {
                     existing.waiters.fetch_add(1, Ordering::SeqCst);
-                    Metrics::bump(&self.shared.metrics.dedup_hits);
+                    self.shared.metrics.dedup_hits.inc();
                     return Ok(Ticket {
                         state: Arc::clone(existing),
                     });
@@ -1177,7 +1087,7 @@ impl Engine {
         };
         match self.shared.queue.push(job, priority, submit_timeout) {
             Ok(()) => {
-                Metrics::bump(&self.shared.metrics.submitted);
+                self.shared.metrics.submitted.inc();
                 Ok(Ticket { state })
             }
             Err(push_err) => {
@@ -1191,7 +1101,7 @@ impl Engine {
                 }
                 let err = match push_err {
                     crate::queue::PushError::Full(_) => {
-                        Metrics::bump(&self.shared.metrics.rejected);
+                        self.shared.metrics.rejected.inc();
                         EngineError::Rejected
                     }
                     crate::queue::PushError::Closed(_) => EngineError::ShuttingDown,
@@ -1263,7 +1173,7 @@ impl Engine {
             .lock()
             .expect("template registry poisoned");
         templates.entry(digest).or_insert_with(|| {
-            Metrics::bump(&self.shared.metrics.templates_registered);
+            self.shared.metrics.templates_registered.inc();
             Template {
                 request,
                 program,
@@ -1286,7 +1196,7 @@ impl Engine {
             .expect("template registry poisoned");
         let tpl = templates.get(&digest)?;
         if tpl.memo.is_some() {
-            Metrics::bump(&self.shared.metrics.template_memo_hits);
+            self.shared.metrics.template_memo_hits.inc();
         }
         tpl.memo.clone()
     }

@@ -67,7 +67,7 @@
 //! a.shutdown().unwrap();
 //!
 //! // Second life: loads the snapshot; the same build is 100% cache hits —
-//! // zero kernel re-checks, `SessionStats.misses == 0`.
+//! // zero kernel re-checks, `StatsSnapshot.misses == 0`.
 //! let b = Engine::start(cfg);
 //! assert!(b.warm_loaded() > 0);
 //! b.run(Request::lattice_full()).unwrap();

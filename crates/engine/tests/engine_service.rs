@@ -205,8 +205,14 @@ fn redefine_recheck_serves_clean_variants_from_memo() {
         Ok(Response::Lattice { report, .. }) => report.rows.len(),
         other => panic!("unexpected {other:?}"),
     };
-    let cutoff_before = fpop::incr::incr_counter("cutoff");
-    let dirty_before = fpop::incr::incr_counter("dirty");
+    let incr = |kind: &str| {
+        e.session()
+            .registry()
+            .counter_value(&format!("fpop_incr_{kind}_total"))
+            .expect("every session registers the incr counters")
+    };
+    let cutoff_before = incr("cutoff");
+    let dirty_before = incr("dirty");
     match e.run(Request::Redefine {
         family: "STLCFix".into(),
         field: "step_fix_inv".into(),
@@ -219,12 +225,12 @@ fn redefine_recheck_serves_clean_variants_from_memo() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(
-        fpop::incr::incr_counter("dirty") - dirty_before,
+        incr("dirty") - dirty_before,
         1,
         "only the touched family re-elaborates"
     );
     assert!(
-        fpop::incr::incr_counter("cutoff") - cutoff_before > 0,
+        incr("cutoff") - cutoff_before > 0,
         "downstream variants early-cut when the touched output is unchanged"
     );
     // The rechecked theorems stay queryable.

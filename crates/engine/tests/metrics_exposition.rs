@@ -21,6 +21,18 @@ fn config(workers: usize) -> EngineConfig {
     }
 }
 
+/// The elaborator's per-site proof-cache lookup counters.
+const PROVENANCE: [&str; 8] = [
+    "fpop_cache_theorem_hits_total",
+    "fpop_cache_theorem_misses_total",
+    "fpop_cache_reprove_hits_total",
+    "fpop_cache_reprove_misses_total",
+    "fpop_cache_induction_hits_total",
+    "fpop_cache_induction_misses_total",
+    "fpop_cache_data_induction_hits_total",
+    "fpop_cache_data_induction_misses_total",
+];
+
 /// Extracts the value of a plain `name value` sample line.
 fn sample(text: &str, name: &str) -> u64 {
     for line in text.lines() {
@@ -93,9 +105,9 @@ fn exposition_agrees_with_stats_snapshot() {
         sample(&text, "fpop_session_code_rejected_total"),
         code.rejected
     );
-    // The VM's global trace metrics ride along in the registry section.
-    assert!(text.contains("objlang_vm_compile_total"));
-    assert!(text.contains("objlang_vm_exec_total"));
+    // The session's code cache also carries the VM's execution counter
+    // (its compile count is `fpop_session_code_compiled_total` above).
+    assert!(text.contains("# TYPE objlang_vm_exec_total counter"));
 
     // Scheduling counters: only the lattice had completed when the
     // exposition was rendered (the Metrics request renders *during* its
@@ -122,33 +134,14 @@ fn exposition_agrees_with_stats_snapshot() {
     // Wait histogram saw both dequeues by render time.
     assert_eq!(sample(&text, "engine_wait_micros_count"), 2);
 
-    // The elaborator's provenance counters (global registry) tie back to
-    // the session totals: every session-level lookup happened at exactly
-    // one provenance site. (The registry is process-global, so other
-    // tests' lookups may add to it — the inequality is the safe check.)
-    let prov_total: u64 = [
-        "fpop_cache_theorem_hits_total",
-        "fpop_cache_theorem_misses_total",
-        "fpop_cache_reprove_hits_total",
-        "fpop_cache_reprove_misses_total",
-        "fpop_cache_induction_hits_total",
-        "fpop_cache_induction_misses_total",
-        "fpop_cache_data_induction_hits_total",
-        "fpop_cache_data_induction_misses_total",
-    ]
-    .iter()
-    .map(|n| {
-        if text.contains(&format!("{n} ")) {
-            sample(&text, n)
-        } else {
-            0
-        }
-    })
-    .sum();
-    assert!(
-        prov_total >= s.hits + s.misses,
-        "provenance counters ({prov_total}) must cover every session \
-         lookup ({} + {})",
+    // The elaborator's provenance counters tie back to the session
+    // totals: every session-level lookup happened at exactly one
+    // provenance site, and both live in this engine's registry.
+    let prov_total: u64 = PROVENANCE.iter().map(|n| sample(&text, n)).sum();
+    assert_eq!(
+        prov_total,
+        s.hits + s.misses,
+        "provenance counters must sum to the session's lookups ({} + {})",
         s.hits,
         s.misses
     );
@@ -161,6 +154,45 @@ fn exposition_agrees_with_stats_snapshot() {
         "Engine::prometheus agrees with the protocol payload"
     );
     e.shutdown().unwrap();
+}
+
+/// Two engines in one process keep disjoint counts: each engine's
+/// exposition reads 0 for work only the other did.
+#[test]
+fn engines_in_one_process_report_only_their_own_work() {
+    let a = Engine::start(config(1));
+    let b = Engine::start(config(1));
+    a.run(Request::BuildLattice {
+        features: vec![Feature::Fix],
+    })
+    .expect("lattice builds");
+    // A family with a recursion and no theorems: defining it proves
+    // nothing, and evaluating in it runs the VM.
+    let src = "Family NatAdd.\n  FRecursion add on nat params (m : nat) returns nat :=\n    \
+               Case zero := m.\n    Case succ(n) := succ(add(n, m)).\n  End add.\nEnd NatAdd.\n";
+    b.run(Request::CheckSource { source: src.into() })
+        .expect("family checks");
+    b.run(Request::Eval {
+        family: "NatAdd".into(),
+        term: "add(2, 3)".into(),
+    })
+    .expect("term evaluates");
+
+    let (text_a, text_b) = (a.prometheus(), b.prometheus());
+    let provenance = |text: &str| PROVENANCE.iter().map(|n| sample(text, n)).sum::<u64>();
+    // A's proof work stays out of B …
+    assert!(sample(&text_a, "fpop_session_cache_misses_total") > 0);
+    assert!(provenance(&text_a) > 0);
+    assert_eq!(sample(&text_b, "fpop_session_cache_misses_total"), 0);
+    assert_eq!(provenance(&text_b), 0);
+    // … and B's VM run stays out of A.
+    assert!(sample(&text_b, "objlang_vm_exec_total") > 0);
+    assert_eq!(sample(&text_a, "objlang_vm_exec_total"), 0);
+    // Each engine counts its own requests only.
+    assert_eq!(sample(&text_a, "engine_completed_total"), 1);
+    assert_eq!(sample(&text_b, "engine_completed_total"), 2);
+    a.shutdown().unwrap();
+    b.shutdown().unwrap();
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //!
 //! The flush-batching regression rides along: a 100-frame pipelined
 //! batch must complete within a handful of write flushes (one per
-//! readiness turn, not one per reply), observed via [`conn::ConnStats`].
+//! readiness turn, not one per reply), observed through the engine's own
+//! `engine_conn_write_flushes_total` counter.
 
 #![cfg(unix)]
 
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use engine::conn::{self, ConnStats};
+use engine::conn;
 use engine::fpopb::{self, Reply};
 use engine::proto;
 use engine::request::{Priority, Request};
@@ -135,7 +136,6 @@ struct TestServer {
     engine: Arc<Engine>,
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    stats: Arc<ConnStats>,
     server: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
@@ -160,18 +160,15 @@ fn start_server() -> TestServer {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ConnStats::default());
     let server = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || conn::serve_with_stats(engine, listener, stop, stats))
+        std::thread::spawn(move || conn::serve(engine, listener, stop))
     };
     TestServer {
         engine,
         addr,
         stop,
-        stats,
         server,
     }
 }
@@ -326,7 +323,7 @@ fn out_of_order_completion_keeps_correlation_ids_straight() {
 #[test]
 fn pipelined_batch_flushes_once_per_turn_not_per_reply() {
     let srv = start_server();
-    let (engine, addr, stats) = (Arc::clone(&srv.engine), srv.addr, Arc::clone(&srv.stats));
+    let (engine, addr) = (Arc::clone(&srv.engine), srv.addr);
 
     let stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -348,7 +345,11 @@ fn pipelined_batch_flushes_once_per_turn_not_per_reply() {
     }
     assert_eq!(seen, 100);
 
-    let flushes = stats.write_flushes.load(Ordering::Relaxed);
+    let flushes = engine
+        .session()
+        .registry()
+        .counter_value("engine_conn_write_flushes_total")
+        .expect("serve registers the engine_conn_* counters");
     assert!(
         (1..=8).contains(&flushes),
         "100 pipelined replies took {flushes} write flushes (want ≤ 8: batched per \

@@ -550,7 +550,8 @@ fn build_dag_incr(
         .collect();
 
     if dag.node_count() > 0 {
-        dag.run(workers, |node| -> Result<()> {
+        let ready = fpop::sched::ready_depth_gauge(session.registry());
+        dag.run(workers, &ready, |node| -> Result<()> {
             let t = Instant::now();
             let (v, kind) = &node_map[node];
             let v = *v;
@@ -652,7 +653,8 @@ fn build_dag_incr(
             SchedError::Task { label, error, .. } => {
                 error.with_context(format!("lattice task {label}"))
             }
-        })?;
+        })?
+        .record(session.registry());
     }
 
     // Deterministic canonical-order commit: the universe, its ledger, and
@@ -673,23 +675,14 @@ fn build_dag_incr(
                 session.commit_parts(&done.memo.parts);
                 outcome.dirty += 1;
                 outcome.ran.push(done.memo.compiled.name.to_string());
-                if consult {
-                    incr::note_incr("dirty");
-                }
             }
             Via::Cutoff => {
                 session.commit_parts_replayed(&done.memo.parts);
                 outcome.cutoff += 1;
-                if consult {
-                    incr::note_incr("cutoff");
-                }
             }
             Via::Replay => {
                 session.commit_parts_replayed(&done.memo.parts);
                 outcome.replayed += 1;
-                if consult {
-                    incr::note_incr("replay");
-                }
             }
         }
         report.rows.push(VariantStat {
@@ -702,6 +695,9 @@ fn build_dag_incr(
             elapsed: run.elapsed,
         });
         u.adopt_arc(Arc::clone(&done.memo.compiled))?;
+    }
+    if consult {
+        session.incr_memos().count(&outcome);
     }
     Ok((report, outcome))
 }

@@ -210,14 +210,20 @@ fn random_edit_scripts_recheck_equals_rebuild() {
 /// lattice re-proves exactly that variant; *everything* downstream is
 /// served by early cutoff and the rest replays — 100% of the non-dirty
 /// lattice comes from the memo, observable both in the outcome tally and
-/// in the global `fpop_incr_cutoff_total` counter.
+/// in the session's `fpop_incr_cutoff_total` counter.
 #[test]
 fn noop_edit_reproves_nothing_beyond_the_touched_variant() {
     let feats = [Feature::Fix, Feature::Prod];
     let empty = FamilyUniverse::new();
     let (u, _, _) = build_lattice_defs_incr_with(&empty, &feats, subset_defs(&feats), &[], 1)
         .expect("cold build");
-    let cutoff_before = fpop::incr::incr_counter("cutoff");
+    let cutoff = || {
+        u.session()
+            .registry()
+            .counter_value("fpop_incr_cutoff_total")
+            .expect("every session registers the incr counters")
+    };
+    let cutoff_before = cutoff();
     let (_, report, outcome) =
         build_lattice_defs_incr_with(&u, &feats, subset_defs(&feats), &["STLC"], 1)
             .expect("touch rebuild");
@@ -230,7 +236,7 @@ fn noop_edit_reproves_nothing_beyond_the_touched_variant() {
     );
     assert_eq!(outcome.replayed, 0, "nothing is independent of the base");
     assert_eq!(
-        fpop::incr::incr_counter("cutoff") - cutoff_before,
+        cutoff() - cutoff_before,
         (report.rows.len() - 1) as u64,
         "the Prometheus counter observes the same cutoffs"
     );

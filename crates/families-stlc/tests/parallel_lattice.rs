@@ -66,12 +66,12 @@ fn parallel_extended_lattice_shares_through_the_session() {
     assert_eq!(report.rows.len(), 32); // base + 31 variants
 
     // The shared session demonstrably served proofs across variants.
-    let stats = u.session().stats();
+    let stats = u.session().snapshot_stats();
     assert!(
-        stats.cache_hits > 0,
+        stats.hits > 0,
         "expected cross-variant cache hits, got {stats:?}"
     );
-    assert!(stats.cache_inserts > 0, "no proofs committed: {stats:?}");
+    assert!(stats.inserts > 0, "no proofs committed: {stats:?}");
 
     // Reuse is at least as strong as the sequential seed's bar (the
     // quad composite reuses > 60% of its units).
@@ -90,8 +90,8 @@ fn parallel_extended_lattice_shares_through_the_session() {
         hits += fam.ledger.cache_hits() as u64;
         misses += fam.ledger.cache_misses() as u64;
     }
-    assert_eq!(hits, stats.cache_hits);
-    assert_eq!(misses, stats.cache_misses);
+    assert_eq!(hits, stats.hits);
+    assert_eq!(misses, stats.misses);
 }
 
 #[test]
@@ -103,8 +103,8 @@ fn extended_lattices_agree_and_report_hits() {
     assert_reports_match(&seq, &par);
     assert!(seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger));
     assert_eq!(
-        seq_u.session().stats().cache_hits,
-        par_u.session().stats().cache_hits,
+        seq_u.session().snapshot_stats().hits,
+        par_u.session().snapshot_stats().hits,
         "cache-hit series must be order-insensitive under wave semantics"
     );
 }
@@ -117,20 +117,20 @@ fn one_session_spans_universes() {
     let session = fpop::Session::new();
     let mut first = FamilyUniverse::with_session(session.clone());
     build_lattice(&mut first).expect("first lattice");
-    let after_first = session.stats();
+    let after_first = session.snapshot_stats();
 
     let mut second = FamilyUniverse::with_session(session.clone());
     build_lattice(&mut second).expect("second lattice");
-    let after_second = session.stats();
+    let after_second = session.snapshot_stats();
 
     // Every proof the second build looked up was served by the session.
     assert_eq!(
-        after_second.cache_inserts, after_first.cache_inserts,
+        after_second.inserts, after_first.inserts,
         "second build re-inserted proofs instead of reusing them"
     );
-    let second_lookups = (after_second.cache_hits + after_second.cache_misses)
-        - (after_first.cache_hits + after_first.cache_misses);
-    let second_hits = after_second.cache_hits - after_first.cache_hits;
+    let second_lookups =
+        (after_second.hits + after_second.misses) - (after_first.hits + after_first.misses);
+    let second_hits = after_second.hits - after_first.hits;
     assert!(second_lookups > 0);
     assert_eq!(
         second_hits, second_lookups,

@@ -130,7 +130,7 @@ fn deliberate_cycle_is_a_loud_diagnostic_not_a_hang() {
     dag.add_edge(b, c);
     dag.add_edge(c, a);
     let err = dag
-        .run(8, |_| Ok::<(), String>(()))
+        .run(8, &trace::Gauge::new(), |_| Ok::<(), String>(()))
         .expect_err("a cyclic graph must not execute");
     match err {
         SchedError::Cycle(diag) => {

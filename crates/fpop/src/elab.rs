@@ -39,7 +39,7 @@ use modsys::{CheckLedger, Item, ModEntry, Module, ModuleEnv, ModuleType};
 
 use crate::family::{Field, ProofSpec};
 use crate::merge::{MergedFamily, MergedField};
-use crate::session::CacheTxn;
+use crate::session::{CacheTxn, LookupSite};
 
 /// A compiled (closed) family.
 #[derive(Clone, Debug)]
@@ -77,25 +77,6 @@ pub struct CompiledFamily {
 /// derived `Hash`) are not.
 fn odef_hash(odef_key: &[(Symbol, objlang::Term)]) -> u64 {
     crate::stable::stable_odef_hash(odef_key)
-}
-
-/// Records proof-cache lookup provenance in the global metrics registry.
-///
-/// `kind` names the lookup site (`theorem`, `reprove`, `induction`,
-/// `data_induction`); each site gets a `fpop_cache_<kind>_hits_total` /
-/// `fpop_cache_<kind>_misses_total` counter pair so an operator can see
-/// *which* reuse path (plain scripts, closed-world re-provables, or
-/// per-case induction proofs) is paying off. The session's own
-/// [`StatsSnapshot`](crate::session::StatsSnapshot) keeps the aggregate
-/// per-session counts; these registry counters are process-wide.
-fn note_cache(kind: &str, hit: bool) {
-    let outcome = if hit { "hits" } else { "misses" };
-    trace::registry()
-        .counter(
-            &format!("fpop_cache_{kind}_{outcome}_total"),
-            "proof-cache lookups by provenance site",
-        )
-        .inc();
 }
 
 /// Elaborates a merged family into a [`CompiledFamily`], emitting module
@@ -436,7 +417,7 @@ fn check_field(
                 ProofSpec::Script(script) => {
                     let okey = odef_hash(odef_key);
                     let hit = txn.lookup_theorem(statement, script, &None, okey);
-                    note_cache("theorem", hit);
+                    txn.count_site(LookupSite::Theorem, hit);
                     if hit {
                         ledger.record_cache_hit();
                         ledger.record_shared(unit);
@@ -468,7 +449,7 @@ fn check_field(
                     let cw_key = Some(cw_key);
                     let okey = odef_hash(odef_key);
                     let hit = txn.lookup_theorem(statement, script, &cw_key, okey);
-                    note_cache("reprove", hit);
+                    txn.count_site(LookupSite::Reprove, hit);
                     if hit {
                         ledger.record_cache_hit();
                         ledger.record_shared(unit);
@@ -532,7 +513,7 @@ fn check_field(
                 let case_unit = format!("{unit}◦{}", rule.name);
                 let okey = odef_hash(odef_key);
                 let cached = txn.lookup_case(&seq, script, okey);
-                note_cache("induction", cached.is_some());
+                txn.count_site(LookupSite::Induction, cached.is_some());
                 if let Some(pf) = cached {
                     proved.insert(rule.name, pf);
                     ledger.record_cache_hit();
@@ -596,7 +577,7 @@ fn check_field(
                 let case_unit = format!("{unit}◦{}", ctor.name);
                 let okey = odef_hash(odef_key);
                 let cached = txn.lookup_case(&seq, script, okey);
-                note_cache("data_induction", cached.is_some());
+                txn.count_site(LookupSite::DataInduction, cached.is_some());
                 if let Some(pf) = cached {
                     proved.insert(ctor.name, pf);
                     ledger.record_cache_hit();

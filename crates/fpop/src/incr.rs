@@ -46,6 +46,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use objlang::ident::Symbol;
+use trace::{Counter, Registry};
 
 use crate::elab::CompiledFamily;
 use crate::merge::{MergedFamily, MergedField};
@@ -202,15 +203,41 @@ pub struct IncrMemo {
 /// [`Session`](crate::session::Session) beside the proof cache; like the
 /// VM code cache it is **derived data only** — never exported,
 /// snapshotted, or imported.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemoStore {
     map: RwLock<HashMap<u64, Arc<IncrMemo>>>,
+    /// `fpop_incr_{dirty,cutoff,replay}_total`: how memo-consulting
+    /// builds served their variants (see [`MemoStore::count`]).
+    dirty: Arc<Counter>,
+    cutoff: Arc<Counter>,
+    replay: Arc<Counter>,
 }
 
 impl MemoStore {
-    /// A fresh, empty memo table.
-    pub fn new() -> MemoStore {
-        MemoStore::default()
+    /// A fresh, empty memo table counting its outcomes in `registry`.
+    pub fn new(registry: &Registry) -> MemoStore {
+        let outcome = |kind: &str| {
+            registry.counter(
+                &format!("fpop_incr_{kind}_total"),
+                "incremental-recheck variant outcomes",
+            )
+        };
+        MemoStore {
+            map: RwLock::new(HashMap::new()),
+            dirty: outcome("dirty"),
+            cutoff: outcome("cutoff"),
+            replay: outcome("replay"),
+        }
+    }
+
+    /// Adds a memo-consulting build's outcome to the
+    /// `fpop_incr_{dirty,cutoff,replay}_total` counters — the
+    /// Prometheus-visible form of [`IncrOutcome`]. Plain (recording)
+    /// builds only warm the memo and are not counted.
+    pub fn count(&self, outcome: &IncrOutcome) {
+        self.dirty.add(outcome.dirty as u64);
+        self.cutoff.add(outcome.cutoff as u64);
+        self.replay.add(outcome.replayed as u64);
     }
 
     /// Looks up the memoized outcome for `fp`.
@@ -272,28 +299,6 @@ impl IncrOutcome {
     }
 }
 
-/// Bumps the process-wide `fpop_incr_<kind>_total` counter (`kind` is
-/// `dirty`, `cutoff` or `replay`) — the Prometheus-visible form of
-/// [`IncrOutcome`], mirroring the `fpop_cache_*` provenance counters.
-pub fn note_incr(kind: &str) {
-    trace::registry()
-        .counter(
-            &format!("fpop_incr_{kind}_total"),
-            "incremental-recheck variant outcomes",
-        )
-        .inc();
-}
-
-/// Current value of `fpop_incr_<kind>_total` (test + bench support).
-pub fn incr_counter(kind: &str) -> u64 {
-    trace::registry()
-        .counter(
-            &format!("fpop_incr_{kind}_total"),
-            "incremental-recheck variant outcomes",
-        )
-        .get()
-}
-
 // The memo store crosses threads inside the Session.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -349,7 +354,7 @@ mod tests {
 
     #[test]
     fn memo_store_last_write_wins() {
-        let m = MemoStore::new();
+        let m = MemoStore::new(&Registry::new());
         assert!(m.lookup(7).is_none());
         assert!(m.is_empty());
         let delta = modsys::ModuleDelta::default();

@@ -74,9 +74,7 @@ pub use elab::CompiledFamily;
 pub use family::{FamilyDef, Field, ProofSpec};
 pub use incr::IncrOutcome;
 pub use sched::TaskDag;
-pub use session::{
-    CacheTxn, ExportEntry, ExportMark, Session, SessionStats, StatsSnapshot, TxnParts,
-};
+pub use session::{CacheTxn, ExportEntry, ExportMark, Session, StatsSnapshot, TxnParts};
 pub use universe::FamilyUniverse;
 
 // Concurrency audit: compiled families cross thread boundaries in the

@@ -29,12 +29,16 @@
 //!   returns a [`CycleDiagnostic`] naming the nodes on an actual cycle,
 //!   so a mis-built graph diagnoses itself instead of hanging;
 //! * the run is instrumented through [`trace`]: a `fpop.sched.node` span
-//!   per node, per-worker executed/steal counters, a ready-queue-depth
-//!   gauge, and DAG-shape gauges (nodes, edges, critical-path length).
+//!   per node and a ready-queue-depth gauge the caller passes in; the
+//!   per-worker executed/steal counts and the DAG shape (nodes, edges,
+//!   critical-path length) come back in [`RunStats`], which
+//!   [`RunStats::record`] writes into the caller's registry.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+use trace::{Gauge, Registry};
 
 /// Reads the scheduler worker count from the `FPOP_SCHED_WORKERS`
 /// environment variable, falling back to the machine's available
@@ -238,29 +242,17 @@ impl TaskDag {
     /// `exec` runs each node exactly once, after all its predecessors;
     /// the first task error aborts the run. With one worker the nodes run
     /// on the calling thread in topological order — no thread machinery.
+    /// With more, the run adds the nodes waiting in the workers' deques
+    /// to `ready` while they wait, so concurrent runs can share one gauge
+    /// (see [`ready_depth_gauge`]).
     pub fn run<E: Send>(
         &self,
         workers: usize,
+        ready: &Gauge,
         exec: impl Fn(usize) -> Result<(), E> + Sync,
     ) -> Result<RunStats, SchedError<E>> {
         let order = self.validate().map_err(SchedError::Cycle)?;
         let workers = workers.max(1);
-        let reg = trace::registry();
-        reg.gauge(
-            "fpop_sched_dag_nodes",
-            "task-DAG node count of the last run",
-        )
-        .set(self.node_count() as i64);
-        reg.gauge(
-            "fpop_sched_dag_edges",
-            "task-DAG edge count of the last run",
-        )
-        .set(self.edge_count() as i64);
-        reg.gauge(
-            "fpop_sched_critical_path",
-            "longest dependency chain (nodes) of the last run",
-        )
-        .set(self.critical_path() as i64);
 
         if workers == 1 || self.node_count() <= 1 {
             let mut executed = 0u64;
@@ -273,18 +265,16 @@ impl TaskDag {
                 })?;
                 executed += 1;
             }
-            let stats = RunStats {
+            return Ok(RunStats {
                 executed: vec![executed],
                 steals: vec![0],
                 nodes: self.node_count(),
                 edges: self.edge_count(),
                 critical_path: self.critical_path(),
-            };
-            publish_worker_counters(&stats);
-            return Ok(stats);
+            });
         }
 
-        let shared = Shared::new(self, workers);
+        let shared = Shared::new(self, workers, ready);
         std::thread::scope(|s| {
             for w in 0..workers {
                 let shared = &shared;
@@ -292,6 +282,13 @@ impl TaskDag {
                 s.spawn(move || shared.worker(w, exec));
             }
         });
+        // A failed run leaves nodes in the deques that no worker claimed.
+        let unclaimed: usize = shared
+            .deques
+            .iter()
+            .map(|d| d.lock().expect("sched deque").len())
+            .sum();
+        ready.add(-(unclaimed as i64));
         if let Some((node, error)) = shared.error.into_inner().expect("sched error lock") {
             return Err(SchedError::Task {
                 node,
@@ -299,7 +296,7 @@ impl TaskDag {
                 error,
             });
         }
-        let stats = RunStats {
+        Ok(RunStats {
             executed: shared
                 .executed
                 .iter()
@@ -313,28 +310,58 @@ impl TaskDag {
             nodes: self.node_count(),
             edges: self.edge_count(),
             critical_path: self.critical_path(),
-        };
-        publish_worker_counters(&stats);
-        Ok(stats)
+        })
     }
 }
 
-/// Publishes per-worker executed/steal counters to the metrics registry.
-fn publish_worker_counters(stats: &RunStats) {
-    let reg = trace::registry();
-    for (w, &n) in stats.executed.iter().enumerate() {
-        reg.counter(
-            &format!("fpop_sched_worker_{w}_executed_total"),
-            "DAG nodes executed by this worker",
-        )
-        .add(n);
-    }
-    for (w, &n) in stats.steals.iter().enumerate() {
-        reg.counter(
-            &format!("fpop_sched_worker_{w}_steals_total"),
-            "successful steals by this worker",
-        )
-        .add(n);
+/// The `fpop_sched_ready_depth` gauge of `registry`, for [`TaskDag::run`].
+pub fn ready_depth_gauge(registry: &Registry) -> Arc<Gauge> {
+    registry.gauge(
+        "fpop_sched_ready_depth",
+        "DAG nodes ready to run but not yet claimed",
+    )
+}
+
+impl RunStats {
+    /// Records this run in `registry`: the shape gauges of the last run
+    /// (`fpop_sched_dag_nodes`, `fpop_sched_dag_edges`,
+    /// `fpop_sched_critical_path`) and the per-worker
+    /// `fpop_sched_worker_<w>_{executed,steals}_total` counters.
+    pub fn record(&self, registry: &Registry) {
+        let shape = [
+            (
+                "fpop_sched_dag_nodes",
+                "task-DAG node count of the last run",
+                self.nodes,
+            ),
+            (
+                "fpop_sched_dag_edges",
+                "task-DAG edge count of the last run",
+                self.edges,
+            ),
+            (
+                "fpop_sched_critical_path",
+                "longest dependency chain (nodes) of the last run",
+                self.critical_path,
+            ),
+        ];
+        for (name, help, v) in shape {
+            registry.gauge(name, help).set(v as i64);
+        }
+        for (w, (&executed, &steals)) in self.executed.iter().zip(&self.steals).enumerate() {
+            registry
+                .counter(
+                    &format!("fpop_sched_worker_{w}_executed_total"),
+                    "DAG nodes executed by this worker",
+                )
+                .add(executed);
+            registry
+                .counter(
+                    &format!("fpop_sched_worker_{w}_steals_total"),
+                    "successful steals by this worker",
+                )
+                .add(steals);
+        }
     }
 }
 
@@ -356,14 +383,14 @@ struct Shared<'d, E> {
     pending: AtomicUsize,
     stop: AtomicBool,
     error: Mutex<Option<(usize, E)>>,
-    ready_depth: AtomicI64,
-    ready_gauge: std::sync::Arc<trace::Gauge>,
+    /// Nodes sitting in the deques, claimed by no worker yet.
+    ready: &'d Gauge,
     executed: Vec<AtomicU64>,
     steals: Vec<AtomicU64>,
 }
 
 impl<'d, E: Send> Shared<'d, E> {
-    fn new(dag: &'d TaskDag, workers: usize) -> Shared<'d, E> {
+    fn new(dag: &'d TaskDag, workers: usize, ready_gauge: &'d Gauge) -> Shared<'d, E> {
         let deques: Vec<Mutex<VecDeque<usize>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         let mut ready = 0i64;
@@ -377,11 +404,7 @@ impl<'d, E: Send> Shared<'d, E> {
                 .push_back(d);
             ready += 1;
         }
-        let ready_gauge = trace::registry().gauge(
-            "fpop_sched_ready_depth",
-            "DAG nodes ready to run but not yet claimed",
-        );
-        ready_gauge.set(ready);
+        ready_gauge.add(ready);
         Shared {
             dag,
             indeg: dag.indegree.iter().map(|&d| AtomicUsize::new(d)).collect(),
@@ -394,8 +417,7 @@ impl<'d, E: Send> Shared<'d, E> {
             pending: AtomicUsize::new(dag.node_count()),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
-            ready_depth: AtomicI64::new(ready),
-            ready_gauge,
+            ready: ready_gauge,
             executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -419,8 +441,7 @@ impl<'d, E: Send> Shared<'d, E> {
 
     fn push_ready(&self, w: usize, node: usize) {
         self.deques[w].lock().expect("sched deque").push_back(node);
-        let depth = self.ready_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.ready_gauge.set(depth);
+        self.ready.add(1);
         let mut park = self.park.lock().expect("sched park");
         park.generation = park.generation.wrapping_add(1);
         drop(park);
@@ -453,8 +474,7 @@ impl<'d, E: Send> Shared<'d, E> {
                 }
                 continue;
             };
-            let depth = self.ready_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-            self.ready_gauge.set(depth);
+            self.ready.add(-1);
             let result = {
                 let _span = trace::span!("fpop.sched.node", "node={}", self.dag.labels[node]);
                 exec(node)
@@ -506,7 +526,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         let stats = dag
-            .run(workers, move |n| {
+            .run(workers, &Gauge::new(), move |n| {
                 l.lock().unwrap().push(n);
                 Ok::<(), ()>(())
             })
@@ -538,7 +558,7 @@ mod tests {
         dag.add_edge(a, b);
         dag.add_edge(b, c);
         dag.add_edge(c, a);
-        let err = dag.run(4, |_| Ok::<(), ()>(())).unwrap_err();
+        let err = dag.run(4, &Gauge::new(), |_| Ok::<(), ()>(())).unwrap_err();
         match err {
             SchedError::Cycle(diag) => {
                 let msg = diag.to_string();
@@ -582,7 +602,7 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
         let err = dag
-            .run(4, move |n| {
+            .run(4, &Gauge::new(), move |n| {
                 r.fetch_add(1, Ordering::Relaxed);
                 if n == 0 {
                     Err("boom")
@@ -599,6 +619,20 @@ mod tests {
             SchedError::Cycle(_) => panic!("expected task error"),
         }
         assert_eq!(ran.load(Ordering::Relaxed), 1, "successors must not run");
+    }
+
+    #[test]
+    fn failed_run_returns_its_ready_nodes_to_the_gauge() {
+        // Ten independent roots and every task fails: each worker claims
+        // at most one before the run stops, so most stay in the deques.
+        let mut dag = TaskDag::new();
+        for i in 0..10 {
+            dag.add_node(format!("root{i}"));
+        }
+        let ready = Gauge::new();
+        ready.set(5); // another run's ready nodes on the same gauge
+        assert!(dag.run(2, &ready, |_| Err::<(), _>("boom")).is_err());
+        assert_eq!(ready.get(), 5, "only the other run's nodes remain");
     }
 
     #[test]
@@ -641,8 +675,9 @@ mod tests {
         }
         let total = dag.node_count();
         let done: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+        let ready = Gauge::new();
         let stats = dag
-            .run(8, |n| {
+            .run(8, &ready, |n| {
                 done[n].fetch_add(1, Ordering::SeqCst);
                 Ok::<(), ()>(())
             })
@@ -651,17 +686,28 @@ mod tests {
         for d in &done {
             assert_eq!(d.load(Ordering::SeqCst), 1, "each node runs exactly once");
         }
+        assert_eq!(ready.get(), 0, "every ready node was claimed");
+        // Recording the run into a registry reproduces its counts.
+        let reg = Registry::new();
+        stats.record(&reg);
+        let executed: u64 = (0..8)
+            .map(|w| {
+                reg.counter_value(&format!("fpop_sched_worker_{w}_executed_total"))
+                    .expect("one counter per worker")
+            })
+            .sum();
+        assert_eq!(executed as usize, total);
     }
 
     #[test]
     fn empty_and_singleton_graphs() {
         let dag = TaskDag::new();
-        let stats = dag.run(4, |_| Ok::<(), ()>(())).unwrap();
+        let stats = dag.run(4, &Gauge::new(), |_| Ok::<(), ()>(())).unwrap();
         assert_eq!(stats.nodes, 0);
         assert_eq!(stats.critical_path, 0);
         let mut dag = TaskDag::new();
         dag.add_node("only");
-        let stats = dag.run(4, |_| Ok::<(), ()>(())).unwrap();
+        let stats = dag.run(4, &Gauge::new(), |_| Ok::<(), ()>(())).unwrap();
         assert_eq!(stats.executed.iter().sum::<u64>(), 1);
         assert_eq!(stats.critical_path, 1);
     }

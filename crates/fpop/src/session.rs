@@ -16,9 +16,10 @@
 //!   for closed-world proofs, the constructor lists of every inspected
 //!   type), then verified structurally before reuse, so a hit is exactly
 //!   the paper's late-binding soundness argument in operational form;
-//! * hits, misses and inserts are counted ([`SessionStats`]), making the
-//!   Section 4 sharing claim *observable*: the `mixin_lattice` bench and
-//!   `EXPERIMENTS.md` report the series.
+//! * hits, misses and inserts are counted in the session's own metrics
+//!   registry ([`Session::registry`], read back as a [`StatsSnapshot`]),
+//!   making the Section 4 sharing claim *observable*: the
+//!   `mixin_lattice` bench and `EXPERIMENTS.md` report the series.
 //!
 //! Writes go through a [`CacheTxn`]: a transaction that reads the shared
 //! store but buffers its own inserts, committing them atomically on
@@ -46,7 +47,6 @@
 //!   is a function of the DAG alone, not of scheduling.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use objlang::ident::Symbol;
@@ -54,6 +54,7 @@ use objlang::intern::{fnv_step, fnv_str, sym_digest, FNV_OFFSET};
 use objlang::proof::{ProvedSequent, Sequent};
 use objlang::syntax::Prop;
 use objlang::tactic::Tactic;
+use trace::{Counter, Registry};
 
 /// Cross-family proof cache (content-addressed).
 ///
@@ -480,34 +481,10 @@ fn merge_buckets(into: &mut ProofCache, overlay: ProofCache) -> u64 {
     inserted
 }
 
-/// Aggregate counters of a session's cache traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SessionStats {
-    /// Lookups answered from the shared store or a transaction overlay.
-    pub cache_hits: u64,
-    /// Lookups that forced a fresh proof run.
-    pub cache_misses: u64,
-    /// Entries committed into the shared store.
-    pub cache_inserts: u64,
-}
-
-impl SessionStats {
-    /// Hit ratio `hits / (hits + misses)`; 0 when no lookups.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A plain, fully-public snapshot of a session's observable state — the
 /// payload of the engine's `Stats` request and of monitoring endpoints.
-/// Unlike [`SessionStats`] (a counters-only view kept for compatibility),
-/// the snapshot also carries the store size, so `inserts == cached_proofs`
-/// invariants are checkable from one value.
+/// It carries the store size beside the counters, so `inserts ==
+/// cached_proofs` invariants are checkable from one value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StatsSnapshot {
     /// Lookups answered from the shared store or a transaction overlay.
@@ -586,9 +563,10 @@ pub struct Session {
     /// Entry lookups and commits touch exactly one shard's lock, so
     /// DAG-parallel workers only contend when their keys collide mod N.
     shards: Box<[RwLock<ProofCache>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+    /// Where every layer working for this session keeps its counters,
+    /// gauges and histograms (see [`Session::registry`]).
+    registry: Registry,
+    metrics: SessionMetrics,
     /// Session-scoped compiled-code cache for the bytecode VM — a
     /// digest-keyed shard family alongside the proof cache. Compiled
     /// code is a *derived* artifact: it is warmed when universes on this
@@ -606,9 +584,9 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("shards", &self.shards.len())
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .field("inserts", &self.inserts.load(Ordering::Relaxed))
+            .field("hits", &self.metrics.hits.get())
+            .field("misses", &self.metrics.misses.get())
+            .field("inserts", &self.metrics.inserts.get())
             .finish_non_exhaustive()
     }
 }
@@ -618,17 +596,62 @@ impl std::fmt::Debug for Session {
 /// while keeping whole-store operations (export, snapshot) cheap.
 const DEFAULT_SHARDS: usize = 16;
 
-impl Default for Session {
-    fn default() -> Session {
-        Session {
-            shards: (0..DEFAULT_SHARDS)
-                .map(|_| RwLock::new(ProofCache::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            code: objlang::vm::CodeCache::new(),
-            incr: crate::incr::MemoStore::new(),
+/// Where the elaborator looked a proof up. Each site has its own
+/// `fpop_cache_<site>_{hits,misses}_total` counter pair, so an operator
+/// can see *which* reuse path is paying off.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LookupSite {
+    /// Open-world theorem and lemma proofs (keyed on the late-bound
+    /// environment).
+    Theorem,
+    /// Closed-world reprove-on-extend proofs (also keyed on constructor
+    /// lists).
+    Reprove,
+    /// Per-case proofs of rule inductions.
+    Induction,
+    /// Per-case proofs of datatype inductions.
+    DataInduction,
+}
+
+/// The session's own instruments in its registry, resolved once at
+/// construction so the per-lookup path bumps a handle.
+struct SessionMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    inserts: Arc<Counter>,
+    /// Indexed by [`LookupSite`] (declaration order), then by hit
+    /// (`[miss, hit]`).
+    sites: [[Arc<Counter>; 2]; 4],
+}
+
+impl SessionMetrics {
+    fn register(registry: &Registry) -> SessionMetrics {
+        let site = |name: &str| {
+            [
+                format!("fpop_cache_{name}_misses_total"),
+                format!("fpop_cache_{name}_hits_total"),
+            ]
+            .map(|n| registry.counter(&n, "proof-cache lookups by provenance site"))
+        };
+        SessionMetrics {
+            hits: registry.counter(
+                "fpop_session_cache_hits_total",
+                "proof-cache lookups answered from the store or an overlay",
+            ),
+            misses: registry.counter(
+                "fpop_session_cache_misses_total",
+                "proof-cache lookups that forced a fresh proof run",
+            ),
+            inserts: registry.counter(
+                "fpop_session_cache_inserts_total",
+                "proofs committed into the shared store by transactions",
+            ),
+            sites: [
+                site("theorem"),
+                site("reprove"),
+                site("induction"),
+                site("data_induction"),
+            ],
         }
     }
 }
@@ -636,23 +659,32 @@ impl Default for Session {
 impl Session {
     /// A fresh session with an empty cache.
     pub fn new() -> Arc<Session> {
-        Arc::new(Session::default())
+        Session::with_shards(DEFAULT_SHARDS)
     }
 
     /// A fresh session with an explicit shard count (clamped to ≥ 1).
     /// Exists for the sharding-invisibility regression tests — every
     /// observable behavior must be identical for any shard count.
     pub fn with_shards(n: usize) -> Arc<Session> {
+        let registry = Registry::new();
         Arc::new(Session {
             shards: (0..n.max(1))
                 .map(|_| RwLock::new(ProofCache::new()))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            code: objlang::vm::CodeCache::new(),
-            incr: crate::incr::MemoStore::new(),
+            metrics: SessionMetrics::register(&registry),
+            code: objlang::vm::CodeCache::counted(&registry),
+            incr: crate::incr::MemoStore::new(&registry),
+            registry,
         })
+    }
+
+    /// The session's metrics registry: the one place the proof cache,
+    /// the elaborator, the code cache, the incremental memo, the lattice
+    /// scheduler and an engine serving this session keep their counters,
+    /// gauges and histograms. Its rendering is the engine's `metrics`
+    /// exposition (catalog in `docs/OBSERVABILITY.md`).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The session-scoped compiled-code cache of the bytecode VM
@@ -703,15 +735,6 @@ impl Session {
         }
     }
 
-    /// Aggregate cache-traffic counters since the session was created.
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
-            cache_inserts: self.inserts.load(Ordering::Relaxed),
-        }
-    }
-
     /// Number of proofs currently in the shared store.
     pub fn cached_proofs(&self) -> usize {
         self.shards
@@ -730,9 +753,9 @@ impl Session {
             .map(|s| s.read().expect("session cache poisoned"))
             .collect();
         StatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
+            hits: self.metrics.hits.get(),
+            misses: self.metrics.misses.get(),
+            inserts: self.metrics.inserts.get(),
             cached_proofs: guards.iter().map(|g| g.len() as u64).sum(),
         }
     }
@@ -922,9 +945,9 @@ impl Session {
 
     /// Publishes a transaction's outcome to the session counters.
     fn publish(&self, inserted: u64, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.inserts.fetch_add(inserted, Ordering::Relaxed);
+        self.metrics.hits.add(hits);
+        self.metrics.misses.add(misses);
+        self.metrics.inserts.add(inserted);
     }
 
     /// Commits the detached parts of a transaction (see
@@ -1048,6 +1071,13 @@ impl CacheTxn {
         self.overlay.insert_case(seq, script, proof, okey);
     }
 
+    /// Counts one elaborator lookup under its provenance site. Unlike
+    /// the hit/miss tallies, this is counted at lookup time, not at
+    /// commit.
+    pub(crate) fn count_site(&self, site: LookupSite, hit: bool) {
+        self.session.metrics.sites[site as usize][usize::from(hit)].inc();
+    }
+
     fn tally(&mut self, hit: bool) {
         if hit {
             self.hits += 1;
@@ -1120,7 +1150,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Session>();
     assert_send_sync::<ProofCache>();
-    assert_send_sync::<SessionStats>();
     assert_send_sync::<CacheTxn>();
     assert_send_sync::<TxnParts>();
 };
@@ -1151,9 +1180,9 @@ mod tests {
         assert!(t3.lookup_theorem(&p(1), &[], &None, 0));
         t3.commit();
         assert_eq!(s.cached_proofs(), 1);
-        let st = s.stats();
-        assert_eq!(st.cache_inserts, 1);
-        assert!(st.cache_hits >= 2 && st.cache_misses >= 2);
+        let st = s.snapshot_stats();
+        assert_eq!(st.inserts, 1);
+        assert!(st.hits >= 2 && st.misses >= 2);
     }
 
     #[test]
@@ -1178,7 +1207,7 @@ mod tests {
         a.commit();
         b.commit();
         assert_eq!(s.cached_proofs(), 1, "racing identical proofs dedupe");
-        assert_eq!(s.stats().cache_inserts, 1);
+        assert_eq!(s.snapshot_stats().inserts, 1);
     }
 
     #[test]
@@ -1212,7 +1241,7 @@ mod tests {
                 });
             }
         });
-        assert!(s.stats().cache_hits >= 4);
+        assert!(s.snapshot_stats().hits >= 4);
     }
 
     #[test]
@@ -1242,7 +1271,7 @@ mod tests {
         assert_eq!(s2.import(entries.clone()), entries.len());
         assert_eq!(s2.cached_proofs(), s.cached_proofs());
         // Imports are not counted as inserts (they were paid for upstream).
-        assert_eq!(s2.stats().cache_inserts, 0);
+        assert_eq!(s2.snapshot_stats().inserts, 0);
         // Idempotent: re-importing admits nothing new.
         assert_eq!(s2.import(entries), 0);
 
@@ -1441,7 +1470,7 @@ mod tests {
         later.commit();
         child.commit();
         stranger.commit();
-        assert_eq!(s.stats().cache_inserts, 1);
+        assert_eq!(s.snapshot_stats().inserts, 1);
     }
 
     #[test]
@@ -1460,7 +1489,7 @@ mod tests {
         let parts = seed(&deferred).into_parts();
         deferred.commit_parts(&parts);
         assert_eq!(direct.export(), deferred.export());
-        assert_eq!(direct.stats(), deferred.stats());
+        assert_eq!(direct.snapshot_stats(), deferred.snapshot_stats());
         assert_eq!(direct.cached_proofs(), deferred.cached_proofs());
     }
 
@@ -1488,7 +1517,7 @@ mod tests {
             assert!(t2.lookup_theorem(&p(0), &[Tactic::Reflexivity], &None, 0));
             assert!(!t2.lookup_theorem(&p(0), &[Tactic::Reflexivity], &None, 9));
             t2.commit();
-            (s.export(), s.stats(), s.cached_proofs())
+            (s.export(), s.snapshot_stats(), s.cached_proofs())
         };
         let (e1, st1, n1) = build(1);
         for shards in [2, 3, 16, 64] {

@@ -38,9 +38,9 @@ fn private_sessions_do_not_share() {
     let mut b = FamilyUniverse::new();
     b.define(base_family("PrivA2")).unwrap();
     // Different sessions: no hits crossed between them.
-    assert_eq!(a.session().stats().cache_hits, 0);
-    assert_eq!(b.session().stats().cache_hits, 0);
-    assert!(a.session().stats().cache_inserts > 0);
+    assert_eq!(a.session().snapshot_stats().hits, 0);
+    assert_eq!(b.session().snapshot_stats().hits, 0);
+    assert!(a.session().snapshot_stats().inserts > 0);
 }
 
 #[test]
@@ -48,16 +48,16 @@ fn shared_session_reuses_identical_proofs_across_universes() {
     let session = Session::new();
     let mut a = FamilyUniverse::with_session(session.clone());
     a.define(base_family("Shared")).unwrap();
-    let after_a = session.stats();
-    assert!(after_a.cache_inserts > 0);
+    let after_a = session.snapshot_stats();
+    assert!(after_a.inserts > 0);
 
     // A second universe defines the *same* family content: every proof is
     // served from the session, nothing is re-inserted.
     let mut b = FamilyUniverse::with_session(session.clone());
     b.define(base_family("Shared")).unwrap();
-    let after_b = session.stats();
-    assert_eq!(after_b.cache_inserts, after_a.cache_inserts);
-    assert!(after_b.cache_hits > after_a.cache_hits);
+    let after_b = session.snapshot_stats();
+    assert_eq!(after_b.inserts, after_a.inserts);
+    assert!(after_b.hits > after_a.hits);
 
     // Both universes answer Check identically.
     assert_eq!(
@@ -74,7 +74,7 @@ fn concurrent_universes_one_session_stress() {
     // Warm the session with the proof all threads will reuse.
     let mut warm = FamilyUniverse::with_session(session.clone());
     warm.define(base_family("Stress")).unwrap();
-    let warm_inserts = session.stats().cache_inserts;
+    let warm_inserts = session.snapshot_stats().inserts;
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -100,18 +100,15 @@ fn concurrent_universes_one_session_stress() {
         }
     });
 
-    let stats = session.stats();
+    let stats = session.snapshot_stats();
     // Every thread×round redefinition of `Stress` hit the warm proof.
     assert!(
-        stats.cache_hits as usize >= THREADS * 4,
+        stats.hits as usize >= THREADS * 4,
         "expected ≥{} hits, got {stats:?}",
         THREADS * 4
     );
     // Identical proofs raced from many threads still deduplicate.
-    assert_eq!(
-        stats.cache_inserts, warm_inserts,
-        "duplicate inserts leaked"
-    );
+    assert_eq!(stats.inserts, warm_inserts, "duplicate inserts leaked");
 }
 
 /// A family with a nat-like datatype and a concrete structural recursion

@@ -15,8 +15,10 @@
 //! this module).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
+use std::time::Duration;
+
+use trace::{Counter, Histogram, Registry};
 
 use super::compile::Program;
 
@@ -48,18 +50,29 @@ pub struct CodeCacheStats {
     pub rejected: u64,
 }
 
+/// The instruments of a counted [`CodeCache`], resolved once from its
+/// owner's registry.
+struct CodeMetrics {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    compiled: Arc<Counter>,
+    rejected: Arc<Counter>,
+    exec: Arc<Counter>,
+    deopt: Arc<Counter>,
+    compile_micros: Arc<Histogram>,
+}
+
 /// A sharded, digest-keyed cache of compiled objlang programs.
 ///
-/// One process-wide instance backs the transparent `eval`/`eval_default`
-/// dispatch ([`super::global_cache`]); `fpop::Session` additionally owns a
-/// session-scoped instance that the engine's `eval` requests run against,
-/// so serving workloads get cache counters with session lifetime.
+/// One process-wide, uncounted instance backs the transparent
+/// `eval`/`eval_default` dispatch ([`super::global_cache`]);
+/// `fpop::Session` owns a [counted](CodeCache::counted) instance that
+/// the engine's `eval` requests run against, so its traffic shows up in
+/// that session's registry.
 pub struct CodeCache {
     shards: Vec<RwLock<HashMap<u64, Slot>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    compiled: AtomicU64,
-    rejected: AtomicU64,
+    /// `None` for an uncounted cache.
+    metrics: Option<CodeMetrics>,
 }
 
 impl Default for CodeCache {
@@ -69,14 +82,51 @@ impl Default for CodeCache {
 }
 
 impl CodeCache {
-    /// An empty cache with the default 16-way sharding.
+    /// An empty, uncounted cache with the default 16-way sharding.
     pub fn new() -> CodeCache {
         CodeCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            compiled: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            metrics: None,
+        }
+    }
+
+    /// An empty cache that counts its lookups, compilations and VM runs
+    /// in `registry` (`fpop_session_code_*`, `objlang_vm_exec_*`,
+    /// `objlang_vm_compile_micros`; catalog in `docs/OBSERVABILITY.md`).
+    pub fn counted(registry: &Registry) -> CodeCache {
+        CodeCache {
+            metrics: Some(CodeMetrics {
+                hits: registry.counter(
+                    "fpop_session_code_cache_hits_total",
+                    "compiled-code lookups answered from the session cache",
+                ),
+                misses: registry.counter(
+                    "fpop_session_code_cache_misses_total",
+                    "compiled-code lookups that missed the session cache",
+                ),
+                compiled: registry.counter(
+                    "fpop_session_code_compiled_total",
+                    "call-graph closures compiled into the session cache",
+                ),
+                rejected: registry.counter(
+                    "fpop_session_code_rejected_total",
+                    "closures judged not compilable (cached negative verdicts)",
+                ),
+                exec: registry.counter(
+                    "objlang_vm_exec_total",
+                    "Function applications served by the bytecode VM",
+                ),
+                deopt: registry.counter(
+                    "objlang_vm_exec_deopt_total",
+                    "Single applications handed back to the interpreter mid-run \
+                     (runtime constructor/binder arity mismatch)",
+                ),
+                compile_micros: registry.histogram(
+                    "objlang_vm_compile_micros",
+                    "Wall time of one closure analysis + compilation, µs",
+                ),
+            }),
+            ..CodeCache::new()
         }
     }
 
@@ -92,10 +142,12 @@ impl CodeCache {
             .expect("code cache poisoned")
             .get(&key)
             .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        if let Some(m) = &self.metrics {
+            match &found {
+                Some(_) => m.hits.inc(),
+                None => m.misses.inc(),
+            }
+        }
         found
     }
 
@@ -107,11 +159,31 @@ impl CodeCache {
         if shard.contains_key(&key) {
             return;
         }
-        match &slot {
-            Slot::Compiled(_) => self.compiled.fetch_add(1, Ordering::Relaxed),
-            Slot::NotCompilable => self.rejected.fetch_add(1, Ordering::Relaxed),
-        };
+        if let Some(m) = &self.metrics {
+            match &slot {
+                Slot::Compiled(_) => m.compiled.inc(),
+                Slot::NotCompilable => m.rejected.inc(),
+            }
+        }
         shard.insert(key, slot);
+    }
+
+    /// Records the wall time of one compilation attempt.
+    pub(crate) fn note_compile(&self, took: Duration) {
+        if let Some(m) = &self.metrics {
+            m.compile_micros.observe(took);
+        }
+    }
+
+    /// Records one VM run and the applications it handed back to the
+    /// interpreter.
+    pub(crate) fn note_exec(&self, deopts: u64) {
+        if let Some(m) = &self.metrics {
+            m.exec.inc();
+            if deopts > 0 {
+                m.deopt.add(deopts);
+            }
+        }
     }
 
     /// Number of cached verdicts (compiled + negative).
@@ -122,18 +194,21 @@ impl CodeCache {
             .sum()
     }
 
-    /// Snapshot of the cache counters.
+    /// Snapshot of the cache counters (all zero for an uncounted cache).
     pub fn stats(&self) -> CodeCacheStats {
-        CodeCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            compiled: self.compiled.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-        }
+        self.metrics
+            .as_ref()
+            .map_or_else(CodeCacheStats::default, |m| CodeCacheStats {
+                hits: m.hits.get(),
+                misses: m.misses.get(),
+                compiled: m.compiled.get(),
+                rejected: m.rejected.get(),
+            })
     }
 }
 
-/// The process-wide cache backing transparent `eval` dispatch.
+/// The process-wide cache backing transparent `eval` dispatch. It is
+/// uncounted: its traffic belongs to no session.
 pub fn global_cache() -> &'static CodeCache {
     static GLOBAL: OnceLock<CodeCache> = OnceLock::new();
     GLOBAL.get_or_init(CodeCache::new)

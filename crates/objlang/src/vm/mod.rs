@@ -18,7 +18,8 @@
 //!    PR-5 digests) into a content-addressed *closure digest*;
 //! 2. the digest keys a lookup in a [`CodeCache`] — the process-global
 //!    [`global_cache`] for transparent `eval` dispatch, or a
-//!    session-scoped cache (`fpop::Session`) for engine-served requests;
+//!    session-scoped cache (`fpop::Session`) for engine-served requests,
+//!    which counts its traffic in the session's metrics registry;
 //! 3. on miss, `compile::compile` flattens each `Rec` case and `Alias`
 //!    body into straight-line stack code (negative verdicts are cached
 //!    too);
@@ -38,7 +39,7 @@ pub(crate) mod cache;
 pub(crate) mod compile;
 pub(crate) mod exec;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ident::Symbol;
@@ -50,80 +51,26 @@ pub use cache::{global_cache, CodeCache, CodeCacheStats};
 use cache::Slot;
 use compile::Program;
 
-/// Registry-backed instrumentation, resolved once.
-struct VmMetrics {
-    compile: Arc<trace::Counter>,
-    uncompilable: Arc<trace::Counter>,
-    cache_hits: Arc<trace::Counter>,
-    cache_misses: Arc<trace::Counter>,
-    exec: Arc<trace::Counter>,
-    deopt: Arc<trace::Counter>,
-    compile_micros: Arc<trace::Histogram>,
-}
-
-fn metrics() -> &'static VmMetrics {
-    static M: OnceLock<VmMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = trace::registry();
-        VmMetrics {
-            compile: r.counter(
-                "objlang_vm_compile_total",
-                "Call-graph closures compiled to bytecode",
-            ),
-            uncompilable: r.counter(
-                "objlang_vm_compile_uncompilable_total",
-                "Closures rejected as not compilable (interpreter keeps serving them)",
-            ),
-            cache_hits: r.counter(
-                "objlang_vm_compile_cache_hits_total",
-                "Compiled-code cache lookups answered by a cached verdict",
-            ),
-            cache_misses: r.counter(
-                "objlang_vm_compile_cache_misses_total",
-                "Compiled-code cache lookups that triggered a compilation attempt",
-            ),
-            exec: r.counter(
-                "objlang_vm_exec_total",
-                "Function applications served by the bytecode VM",
-            ),
-            deopt: r.counter(
-                "objlang_vm_exec_deopt_total",
-                "Single applications handed back to the interpreter mid-run \
-                 (runtime constructor/binder arity mismatch)",
-            ),
-            compile_micros: r.histogram(
-                "objlang_vm_compile_micros",
-                "Wall time of one closure analysis + compilation, µs",
-            ),
-        }
-    })
-}
-
 /// Looks up (or compiles) the program for `root`'s call-graph closure in
 /// `cache`. `None` means the closure is not compilable and callers must
 /// use the interpreter.
 fn lookup_or_compile(cache: &CodeCache, sig: &Signature, root: Symbol) -> Option<Arc<Program>> {
     let analysis = compile::analyze(sig, root);
-    let m = metrics();
     if let Some(slot) = cache.lookup(analysis.key) {
-        m.cache_hits.inc();
         return match slot {
             Slot::Compiled(p) => Some(p),
             Slot::NotCompilable => None,
         };
     }
-    m.cache_misses.inc();
     let start = Instant::now();
     let compiled = compile::compile(sig, &analysis).map(Arc::new);
-    m.compile_micros.observe(start.elapsed());
+    cache.note_compile(start.elapsed());
     match compiled {
         Some(p) => {
-            m.compile.inc();
             cache.insert(analysis.key, Slot::Compiled(Arc::clone(&p)));
             Some(p)
         }
         None => {
-            m.uncompilable.inc();
             cache.insert(analysis.key, Slot::NotCompilable);
             None
         }
@@ -155,12 +102,8 @@ pub(crate) fn dispatch(
         return None;
     }
     let prog = lookup_or_compile(cache, sig, f)?;
-    let m = metrics();
-    m.exec.inc();
     let (res, deopts) = exec::run(sig, &prog, vals, fuel);
-    if deopts > 0 {
-        m.deopt.add(deopts);
-    }
+    cache.note_exec(deopts);
     Some(res)
 }
 
@@ -237,7 +180,7 @@ mod tests {
     fn vm_add_matches_interpreter() {
         let s = nat_sig();
         let t = Term::func("add", vec![nat_lit(13), nat_lit(29)]);
-        let cache = CodeCache::new();
+        let cache = CodeCache::counted(&trace::Registry::new());
         let mut fuel = 1_000_000;
         let v = eval_with_cache(&s, &t, &mut fuel, &cache).unwrap();
         assert_eq!(nat_value(&v), Some(42));
@@ -334,7 +277,7 @@ mod tests {
             ],
         }))
         .unwrap();
-        let cache = CodeCache::new();
+        let cache = CodeCache::counted(&trace::Registry::new());
         let t_ok = Term::func("touch", vec![nat_lit(0)]);
         let mut fuel = 1_000;
         let v = eval_with_cache(&s, &t_ok, &mut fuel, &cache).unwrap();
@@ -354,7 +297,7 @@ mod tests {
         // produce the same closure digest: one compile, then hits.
         let s1 = nat_sig();
         let s2 = nat_sig();
-        let cache = CodeCache::new();
+        let cache = CodeCache::counted(&trace::Registry::new());
         assert!(precompile(&s1, sym("add"), &cache));
         assert!(precompile(&s2, sym("add"), &cache));
         let st = cache.stats();
@@ -410,14 +353,26 @@ mod tests {
 
     #[test]
     fn transparent_eval_default_uses_vm() {
-        let s = nat_sig();
-        let before = global_cache().stats();
-        let t = Term::func("add", vec![nat_lit(8), nat_lit(9)]);
+        // A function name no other test uses gives a closure digest the
+        // (process-wide, uncounted) global cache has never seen, so its
+        // entry count must grow whatever other tests run concurrently.
+        let mut s = nat_sig();
+        s.add_fn(FnDef::Alias(AliasFn {
+            name: sym("add_via_global_cache"),
+            params: vec![
+                (sym("a"), Sort::named("nat")),
+                (sym("b"), Sort::named("nat")),
+            ],
+            ret: Sort::named("nat"),
+            body: Term::func("add", vec![Term::var("a"), Term::var("b")]),
+        }))
+        .unwrap();
+        let before = global_cache().entries();
+        let t = Term::func("add_via_global_cache", vec![nat_lit(8), nat_lit(9)]);
         let v = crate::eval::eval_default(&s, &t).unwrap();
         assert_eq!(nat_value(&v), Some(17));
-        let after = global_cache().stats();
         assert!(
-            after.hits + after.compiled > before.hits + before.compiled,
+            global_cache().entries() > before,
             "eval_default must consult the global code cache"
         );
     }

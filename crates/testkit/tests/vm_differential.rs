@@ -138,10 +138,13 @@ fn abstract_closures_fall_back_with_identical_verdicts() {
     }))
     .unwrap();
 
-    let cache = CodeCache::new();
+    // A session's code cache: it counts its traffic, which the checks
+    // below read back.
+    let session = fpop::Session::new();
+    let cache = session.code_cache();
     let t = Term::func("wraps_mystery", vec![nat_lit(2)]);
     for fuel in 0..20u64 {
-        check_parity(&sig, &cache, &t, fuel).unwrap();
+        check_parity(&sig, cache, &t, fuel).unwrap();
     }
     let stats = cache.stats();
     assert!(stats.rejected >= 1, "negative verdict cached: {stats:?}");

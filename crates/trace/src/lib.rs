@@ -14,9 +14,9 @@
 //!   installed the entire path is one relaxed atomic load; with the cargo
 //!   feature `off` the macro compiles to a zero-sized no-op.
 //! * [`metrics`] — **counters, gauges and log2-bucketed histograms** on
-//!   plain atomics, an optional global [`metrics::Registry`], and
-//!   Prometheus-style text exposition helpers (used by the engine's
-//!   `Metrics` protocol request).
+//!   plain atomics, the named [`metrics::Registry`] each check session
+//!   owns, and its Prometheus-style text exposition (the payload of the
+//!   engine's `Metrics` protocol request).
 //! * [`chrome`] — exports collected spans as Chrome `trace_event` JSON
 //!   (load the file at `chrome://tracing` or <https://ui.perfetto.dev>
 //!   for a flamegraph). Written by `fpopd --trace-dump`.
@@ -56,7 +56,7 @@ pub mod metrics;
 pub mod ring;
 pub mod span;
 
-pub use metrics::{registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use span::{
     current_depth, drain, install, installed, is_active, set_active, snapshot, SpanGuard,
     SpanRecord,

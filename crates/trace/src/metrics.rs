@@ -1,4 +1,4 @@
-//! Counters, gauges, log2-bucketed histograms, a global registry, and
+//! Counters, gauges, log2-bucketed histograms, a named registry, and
 //! Prometheus-style text exposition.
 //!
 //! Everything is plain `std` atomics: incrementing a [`Counter`] or
@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// A monotonically increasing counter.
@@ -42,6 +42,12 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises the counter to `v` if it is lower: for a count read at
+    /// render time from a monotone source, such as a clock.
+    pub fn raise_to(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -168,14 +174,14 @@ pub struct HistogramSnapshot {
 // ---------------------------------------------------------------------
 
 /// Appends one counter in Prometheus text format.
-pub fn render_counter(out: &mut String, name: &str, help: &str, value: u64) {
+fn render_counter(out: &mut String, name: &str, help: &str, value: u64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} counter");
     let _ = writeln!(out, "{name} {value}");
 }
 
 /// Appends one gauge in Prometheus text format.
-pub fn render_gauge(out: &mut String, name: &str, help: &str, value: i64) {
+fn render_gauge(out: &mut String, name: &str, help: &str, value: i64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} gauge");
     let _ = writeln!(out, "{name} {value}");
@@ -183,7 +189,7 @@ pub fn render_gauge(out: &mut String, name: &str, help: &str, value: i64) {
 
 /// Appends one histogram in Prometheus text format (cumulative buckets,
 /// `le` labels in microseconds, `_sum` in microseconds).
-pub fn render_histogram(out: &mut String, name: &str, help: &str, snap: &HistogramSnapshot) {
+fn render_histogram(out: &mut String, name: &str, help: &str, snap: &HistogramSnapshot) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
     let mut cum = 0u64;
@@ -202,7 +208,7 @@ pub fn render_histogram(out: &mut String, name: &str, help: &str, snap: &Histogr
 }
 
 // ---------------------------------------------------------------------
-// Global registry.
+// Registry.
 // ---------------------------------------------------------------------
 
 enum Metric {
@@ -211,10 +217,10 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-/// A named collection of metrics, rendered together. The process-global
-/// instance ([`registry`]) is where library layers (the elaborator, the
-/// kernel) register their counters; the engine also keeps *private*
-/// instruments so per-engine tests stay isolated.
+/// A named collection of metrics, rendered together. Each check session
+/// (`fpop::Session`) owns one, and every layer working for that session
+/// registers its instruments there once and keeps the returned handles,
+/// so two sessions in one process never mix counts.
 #[derive(Default)]
 pub struct Registry {
     inner: RwLock<BTreeMap<String, (String, Metric)>>,
@@ -267,6 +273,14 @@ impl Registry {
         }
     }
 
+    /// The value of the counter registered under `name`, if there is one.
+    pub fn counter_value(&self, name: &str) -> Option<u64> {
+        match &self.inner.read().expect("registry poisoned").get(name)?.1 {
+            Metric::Counter(c) => Some(c.get()),
+            _ => None,
+        }
+    }
+
     /// Renders every registered metric in Prometheus text format, sorted
     /// by name.
     pub fn render(&self) -> String {
@@ -283,12 +297,6 @@ impl Registry {
     }
 }
 
-/// The process-global registry.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +307,10 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
+        c.raise_to(3);
+        assert_eq!(c.get(), 5, "raise_to never lowers");
+        c.raise_to(9);
+        assert_eq!(c.get(), 9);
         let g = Gauge::new();
         g.set(3);
         g.add(-5);
@@ -392,6 +404,13 @@ mod tests {
         assert!(aa < mm && mm < zz, "sorted by name");
         assert!(text.contains("zz_total 2"));
         assert!(text.contains("aa_depth 7"));
+        assert_eq!(r.counter_value("zz_total"), Some(2));
+        assert_eq!(
+            r.counter_value("aa_depth"),
+            None,
+            "a gauge is not a counter"
+        );
+        assert_eq!(r.counter_value("absent_total"), None);
     }
 
     #[test]

@@ -38,13 +38,13 @@ fn main() {
     );
 
     // 2. The session cache series behind the parallel build.
-    let stats = par_u.session().stats();
+    let stats = par_u.session().snapshot_stats();
     println!(
         "session: {} hits / {} misses (hit ratio {:.1}%), {} proofs committed",
-        stats.cache_hits,
-        stats.cache_misses,
+        stats.hits,
+        stats.misses,
         stats.hit_ratio() * 100.0,
-        stats.cache_inserts
+        stats.inserts
     );
 
     // 3. Cross-universe reuse: rebuild the Venn lattice against a warm
@@ -54,24 +54,24 @@ fn main() {
     let mut first = FamilyUniverse::with_session(session.clone());
     families_stlc::build_lattice(&mut first).unwrap();
     let cold_time = t.elapsed();
-    let cold = session.stats();
+    let cold = session.snapshot_stats();
 
     let t = Instant::now();
     let mut second = FamilyUniverse::with_session(session.clone());
     families_stlc::build_lattice(&mut second).unwrap();
     let warm_time = t.elapsed();
-    let warm = session.stats();
+    let warm = session.snapshot_stats();
 
     println!("\n== warm-session rebuild (15-variant Venn lattice) ==");
     println!(
         "cold: {cold_time:.2?} ({} hits / {} misses, {} inserts)",
-        cold.cache_hits, cold.cache_misses, cold.cache_inserts
+        cold.hits, cold.misses, cold.inserts
     );
     println!(
         "warm: {warm_time:.2?} ({} hits / {} misses, {} new inserts)",
-        warm.cache_hits - cold.cache_hits,
-        warm.cache_misses - cold.cache_misses,
-        warm.cache_inserts - cold.cache_inserts
+        warm.hits - cold.hits,
+        warm.misses - cold.misses,
+        warm.inserts - cold.inserts
     );
-    assert_eq!(warm.cache_inserts, cold.cache_inserts);
+    assert_eq!(warm.inserts, cold.inserts);
 }
