@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use families_stlc::build_lattice_subset_parallel_with;
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
+use objlang::sig::Signature;
 use trace::{Counter, Gauge, Histogram, Registry};
 
 use crate::queue::PrioQueue;
@@ -172,6 +173,8 @@ struct Instruments {
     uptime_micros: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     cached_proofs: Arc<Gauge>,
+    resident_universes: Arc<Gauge>,
+    registered_families: Arc<Gauge>,
     /// Queue wait (admission → dequeue), microseconds.
     wait_micros: Arc<Histogram>,
     /// Service (execution) time, microseconds.
@@ -259,6 +262,14 @@ impl Instruments {
             cached_proofs: reg.gauge(
                 "fpop_session_cached_proofs",
                 "proofs resident in the shared store right now",
+            ),
+            resident_universes: reg.gauge(
+                "engine_resident_universes",
+                "lattice universes kept resident for Redefine (0 or 1)",
+            ),
+            registered_families: reg.gauge(
+                "engine_registered_families",
+                "families in the registry QueryTheorem and Eval answer from",
             ),
             wait_micros: reg.histogram(
                 "engine_wait_micros",
@@ -460,19 +471,32 @@ struct Template {
     memo: Option<Response>,
 }
 
+/// One family in the engine's registry: what `Eval` evaluates under and
+/// what `QueryTheorem` answers, both from the same compilation.
+struct Registered {
+    /// The compiled family's closed signature, shared with the universe
+    /// it came from (see [`fpop::elab::CompiledFamily::sig`]).
+    sig: Arc<Signature>,
+    /// Theorem field → its qualified statement display.
+    theorems: HashMap<String, String>,
+}
+
 /// State shared between the engine facade and its workers.
 struct Shared {
     session: Arc<Session>,
     queue: PrioQueue<Job>,
     inflight: Mutex<HashMap<u64, Arc<JobState>>>,
     metrics: Instruments,
-    /// Registry of every theorem any request has elaborated, keyed by
-    /// `(family, field)`, holding the qualified statement display.
-    theorems: Mutex<HashMap<(String, String), String>>,
-    /// Registry of every family signature any request has elaborated,
-    /// keyed by family name: the evaluation surface `Eval` requests run
-    /// against. `Arc`ed so `execute` drops the lock before evaluating.
-    sigs: Mutex<HashMap<String, Arc<objlang::sig::Signature>>>,
+    /// The last lattice universe any `BuildLattice` or successful
+    /// `Redefine` built, as an immutable snapshot; `Redefine` replans
+    /// against it. One built for another feature set serves too: a variant
+    /// skips the re-merge only when its definition digest and ancestors
+    /// match their compiled predecessors, so the variants that differ
+    /// merge afresh, as they would against an empty universe.
+    resident: Mutex<Option<Arc<FamilyUniverse>>>,
+    /// Every family any request has elaborated, by name; the last
+    /// request to register a name wins.
+    families: Mutex<HashMap<String, Registered>>,
     /// Registered templates, keyed by content digest (see [`Template`]).
     templates: Mutex<HashMap<u64, Template>>,
     /// Cumulative ledger absorbed over every request this engine served.
@@ -496,32 +520,53 @@ struct Shared {
 
 impl Shared {
     /// Records a finished universe: absorbs its per-family ledgers into a
-    /// combined ledger (returned), registers its theorems, and folds the
-    /// combined ledger into the engine-lifetime ledger.
+    /// combined ledger (returned), registers its families, and folds the
+    /// combined ledger into the engine-lifetime ledger. A family whose
+    /// signature is the registered one (a replayed or cut-off variant)
+    /// is already registered and costs one pointer compare; every other
+    /// family is (re-)registered with freshly rendered theorems.
     fn absorb_universe(&self, u: &FamilyUniverse) -> CheckLedger {
         let mut combined = CheckLedger::new();
-        let mut theorems = self.theorems.lock().expect("theorem registry poisoned");
-        let mut sigs = self.sigs.lock().expect("signature registry poisoned");
+        let mut families = self.families.lock().expect("family registry poisoned");
         for name in u.names() {
-            let fam_name = name.as_str().to_string();
-            if let Some(fam) = u.family(&fam_name) {
-                combined.absorb(&fam.ledger);
-                sigs.insert(fam_name.clone(), Arc::new(fam.sig.clone()));
-                for field in fam.theorems.keys() {
-                    let field_name = field.as_str().to_string();
-                    if let Ok(stmt) = u.check(&fam_name, &field_name) {
-                        theorems.insert((fam_name.clone(), field_name), stmt);
-                    }
-                }
+            let Some(fam) = u.family(name.as_str()) else {
+                continue;
+            };
+            combined.absorb(&fam.ledger);
+            if families
+                .get(name.as_str())
+                .is_some_and(|r| Arc::ptr_eq(&r.sig, &fam.sig))
+            {
+                continue;
             }
+            let theorems = fam
+                .theorems
+                .iter()
+                .map(|(field, prop)| {
+                    let field = field.as_str();
+                    let stmt = fpop::report::qualified_display(fam, field, prop);
+                    (field.to_string(), stmt)
+                })
+                .collect();
+            families.insert(
+                name.as_str().to_string(),
+                Registered {
+                    sig: Arc::clone(&fam.sig),
+                    theorems,
+                },
+            );
         }
-        drop(sigs);
-        drop(theorems);
+        drop(families);
         self.ledger
             .lock()
             .expect("engine ledger poisoned")
             .absorb(&combined);
         combined
+    }
+
+    /// Makes `u` the resident universe `Redefine` replans against.
+    fn make_resident(&self, u: FamilyUniverse) {
+        *self.resident.lock().expect("resident universe poisoned") = Some(Arc::new(u));
     }
 
     fn execute(&self, request: Request) -> JobResult {
@@ -551,6 +596,7 @@ impl Shared {
                     build_lattice_subset_parallel_with(&mut u, &features, self.sched_workers)
                         .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
+                self.make_resident(u);
                 Ok(Response::Lattice { report, ledger })
             }
             Request::Redefine {
@@ -558,13 +604,23 @@ impl Shared {
                 field,
                 features,
             } => {
-                // Incremental recheck: the elaboration memo lives in the
-                // shared session, so a fresh universe over the same session
-                // replays every variant whose fingerprint chain is clean and
-                // re-proves only the dirty cone rooted at `family`. The
-                // touched field is validated against the merged (inherited)
-                // view before any work runs.
-                let prev = FamilyUniverse::with_session(Arc::clone(&self.session));
+                // Incremental recheck against the resident universe: every
+                // definition whose digest and ancestor chain match its
+                // compiled predecessor replans without re-merging, the
+                // session's elaboration memo replays every variant whose
+                // fingerprint chain is clean, and only the dirty cone
+                // rooted at `family` is re-proved. Before any lattice is
+                // built the replan starts from an empty universe and
+                // merges every variant. The touched field is validated
+                // against the merged (inherited) view before any work runs.
+                let resident = self
+                    .resident
+                    .lock()
+                    .expect("resident universe poisoned")
+                    .clone();
+                let prev = resident.unwrap_or_else(|| {
+                    Arc::new(FamilyUniverse::with_session(Arc::clone(&self.session)))
+                });
                 let (u, report, _outcome) = families_stlc::recheck_lattice_subset_with(
                     &prev,
                     &features,
@@ -574,14 +630,16 @@ impl Shared {
                 )
                 .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
+                self.make_resident(u);
                 Ok(Response::Lattice { report, ledger })
             }
             Request::QueryTheorem { family, field } => {
                 let statement = self
-                    .theorems
+                    .families
                     .lock()
-                    .expect("theorem registry poisoned")
-                    .get(&(family.clone(), field.clone()))
+                    .expect("family registry poisoned")
+                    .get(&family)
+                    .and_then(|r| r.theorems.get(&field))
                     .cloned()
                     .ok_or_else(|| {
                         EngineError::Failed(format!(
@@ -596,11 +654,11 @@ impl Shared {
             }
             Request::Eval { family, term } => {
                 let sig = self
-                    .sigs
+                    .families
                     .lock()
-                    .expect("signature registry poisoned")
+                    .expect("family registry poisoned")
                     .get(&family)
-                    .cloned()
+                    .map(|r| Arc::clone(&r.sig))
                     .ok_or_else(|| {
                         EngineError::Failed(format!(
                             "no family {family} registered (build it first)"
@@ -712,6 +770,18 @@ impl Shared {
         m.uptime_micros
             .raise_to(self.started.elapsed().as_micros() as u64);
         m.cached_proofs.set(self.session.cached_proofs() as i64);
+        let resident = self
+            .resident
+            .lock()
+            .expect("resident universe poisoned")
+            .is_some();
+        m.resident_universes.set(i64::from(resident));
+        let families = self
+            .families
+            .lock()
+            .expect("family registry poisoned")
+            .len();
+        m.registered_families.set(families as i64);
         self.session.registry().render()
     }
 
@@ -929,8 +999,8 @@ impl Engine {
             queue: PrioQueue::new(config.queue_capacity),
             inflight: Mutex::new(HashMap::new()),
             metrics,
-            theorems: Mutex::new(HashMap::new()),
-            sigs: Mutex::new(HashMap::new()),
+            resident: Mutex::new(None),
+            families: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
             ledger: Mutex::new(CheckLedger::new()),
             slow: Mutex::new(Vec::new()),

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engine::{proto, Engine, EngineConfig, EngineError, Priority, Request, Response};
-use families_stlc::Feature;
+use families_stlc::{Feature, LatticeReport};
+use modsys::CheckLedger;
 
 const PEANO: &str = include_str!("../../../examples/peano.fpop");
 
@@ -431,6 +432,233 @@ End NatAdd.
     }) {
         Err(EngineError::Failed(msg)) => assert!(msg.contains("parse error"), "{msg}"),
         other => panic!("expected Failed, got {other:?}"),
+    }
+    e.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Resident lattice universes and the family registry.
+// ---------------------------------------------------------------------------
+
+/// A term every lattice variant evaluates (`subst` is a base field).
+const SUBST_TERM: &str = r#"subst(tm_var("x"), "x", tm_unit)"#;
+
+/// The value of a gauge in the engine's exposition.
+fn gauge(e: &Engine, name: &str) -> i64 {
+    e.prometheus()
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample for {name}"))
+}
+
+/// Runs a `Redefine`; returns its reply and the `(dirty, cutoff, replay)`
+/// incremental-recheck counts this engine recorded for it.
+fn redefine(e: &Engine, request: Request) -> (LatticeReport, CheckLedger, (u64, u64, u64)) {
+    let reg = e.session().registry();
+    let split = || {
+        let get = |kind: &str| {
+            reg.counter_value(&format!("fpop_incr_{kind}_total"))
+                .expect("every session registers the incr counters")
+        };
+        (get("dirty"), get("cutoff"), get("replay"))
+    };
+    let before = split();
+    let (report, ledger) = match e.run(request) {
+        Ok(Response::Lattice { report, ledger }) => (report, ledger),
+        other => panic!("expected a lattice reply, got {other:?}"),
+    };
+    let after = split();
+    let counts = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    (report, ledger, counts)
+}
+
+fn theorem(e: &Engine, family: &str, field: &str) -> Result<String, EngineError> {
+    e.run(Request::QueryTheorem {
+        family: family.into(),
+        field: field.into(),
+    })
+    .map(|r| match r {
+        Response::Theorem { statement, .. } => statement,
+        other => panic!("expected a theorem reply, got {other:?}"),
+    })
+}
+
+fn eval(e: &Engine, family: &str, term: &str) -> Result<String, EngineError> {
+    e.run(Request::Eval {
+        family: family.into(),
+        term: term.into(),
+    })
+    .map(|r| match r {
+        Response::Eval { value, .. } => value,
+        other => panic!("expected an eval reply, got {other:?}"),
+    })
+}
+
+fn lattice_shape(rep: &LatticeReport) -> Vec<(String, usize, usize, usize, usize)> {
+    rep.rows
+        .iter()
+        .map(|r| (r.name.clone(), r.arity, r.fields, r.checked, r.shared))
+        .collect()
+}
+
+/// A `Redefine` replans against whatever universe is resident, and must
+/// answer alike whichever that is: the same feature set's (`same` built
+/// `{Fix, Prod}`), another feature set's (`other` built the full
+/// lattice), or none (`cold` never built a lattice).
+#[test]
+fn redefine_answers_alike_whatever_universe_is_resident() {
+    let feats = vec![Feature::Fix, Feature::Prod];
+    let same = Engine::start(no_snapshot(1));
+    same.run(Request::BuildLattice {
+        features: feats.clone(),
+    })
+    .unwrap();
+    let other = Engine::start(no_snapshot(1));
+    other.run(Request::lattice_full()).unwrap();
+    let cold = Engine::start(no_snapshot(1));
+    assert_eq!(gauge(&cold, "engine_resident_universes"), 0);
+
+    let request = Request::Redefine {
+        family: "STLCFix".into(),
+        field: "step_fix_inv".into(),
+        features: feats,
+    };
+    let (want, want_ledger, want_split) = redefine(&same, request.clone());
+    assert_eq!(want_split, (1, 1, 2));
+    // `other`'s session built the `{Fix, Prod}` variants as `same`'s did,
+    // so the rows and ledger agree exactly.
+    let (got, got_ledger, got_split) = redefine(&other, request.clone());
+    assert_eq!(got_split, (1, 1, 2));
+    assert_eq!(lattice_shape(&got), lattice_shape(&want));
+    assert!(got_ledger.same_counts(&want_ledger));
+    // `cold`'s empty elaboration memo re-proves every variant, so only
+    // the rows' checked/shared counts may differ.
+    let (got, _, got_split) = redefine(&cold, request);
+    assert_eq!(got_split, (4, 0, 0));
+    let fields = |rep: &LatticeReport| {
+        rep.rows
+            .iter()
+            .map(|r| (r.name.clone(), r.fields))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(fields(&got), fields(&want));
+    for e in [&other, &cold] {
+        for row in &want.rows {
+            let n = &row.name;
+            assert_eq!(
+                theorem(e, n, "typesafe").unwrap(),
+                theorem(&same, n, "typesafe").unwrap()
+            );
+            assert_eq!(
+                eval(e, n, SUBST_TERM).unwrap(),
+                eval(&same, n, SUBST_TERM).unwrap()
+            );
+        }
+        assert_eq!(gauge(e, "engine_resident_universes"), 1);
+    }
+    for e in [same, other, cold] {
+        e.shutdown().unwrap();
+    }
+}
+
+/// The resident universe is the last lattice built, whatever its feature
+/// set. After a `{Fix, Prod}` `Redefine` replaces the full lattice's
+/// universe, a full `Redefine` finds twelve variants with no predecessor
+/// there; it merges those afresh and answers as it does against the full
+/// lattice's universe, re-proving only the touched variant.
+#[test]
+fn a_full_redefine_replans_against_a_smaller_resident_universe() {
+    let smaller = Engine::start(no_snapshot(1));
+    let full = Engine::start(no_snapshot(1));
+    // The same edit on both, so both memos hold the same history; only
+    // `smaller` is left with a `{Fix, Prod}` universe resident.
+    for (e, features) in [
+        (&smaller, vec![Feature::Fix, Feature::Prod]),
+        (&full, Feature::all().to_vec()),
+    ] {
+        e.run(Request::lattice_full()).unwrap();
+        redefine(
+            e,
+            Request::Redefine {
+                family: "STLCFix".into(),
+                field: "step_fix_inv".into(),
+                features,
+            },
+        );
+    }
+    // Touching the base makes every other variant an early cutoff;
+    // touching the top variant leaves all the others replays.
+    for (family, split) in [("STLC", (1, 15, 0)), ("STLCFixProdSumIsorec", (1, 0, 15))] {
+        let request = Request::Redefine {
+            family: family.into(),
+            field: "typesafe".into(),
+            features: Feature::all().to_vec(),
+        };
+        let (got, got_ledger, got_split) = redefine(&smaller, request.clone());
+        let (want, want_ledger, want_split) = redefine(&full, request);
+        assert_eq!((got_split, want_split), (split, split), "{family}");
+        assert_eq!(lattice_shape(&got), lattice_shape(&want), "{family}");
+        assert!(got_ledger.same_counts(&want_ledger), "{family}");
+        for row in &want.rows {
+            let n = &row.name;
+            assert_eq!(
+                theorem(&smaller, n, "typesafe").unwrap(),
+                theorem(&full, n, "typesafe").unwrap()
+            );
+        }
+    }
+    assert_eq!(gauge(&smaller, "engine_resident_universes"), 1);
+    assert_eq!(gauge(&smaller, "engine_registered_families"), 16);
+    for e in [smaller, full] {
+        e.shutdown().unwrap();
+    }
+}
+
+/// `CheckSource`, `BuildLattice` and `Redefine` overwrite each other's
+/// family registrations, last writer winning. A `CheckSource` that
+/// defines its own `STLCFix` and `STLCProd` between the lattice build and
+/// a `Redefine STLCFix` loses both names back to the lattice — `STLCProd`
+/// too, although the redefine only replays it.
+#[test]
+fn the_last_request_to_register_a_family_wins() {
+    let e = Engine::start(no_snapshot(1));
+    e.run(Request::lattice_full()).unwrap();
+    let names = ["STLCFix", "STLCProd"];
+    let lattice: Vec<(String, String)> = names
+        .iter()
+        .map(|n| {
+            (
+                theorem(&e, n, "typesafe").unwrap(),
+                eval(&e, n, SUBST_TERM).unwrap(),
+            )
+        })
+        .collect();
+
+    let impostor = |name: &str| {
+        format!(
+            "Family {name}.\n  FInductive tm := tm_unit | tm_one.\n  \
+             FRecursion subst on tm returns tm :=\n    Case tm_unit := tm_one.\n    \
+             Case tm_one := tm_unit.\n  End subst.\n  \
+             FTheorem typesafe : subst(tm_unit) = tm_one.\n  \
+             Proof. fsimpl. reflexivity. Qed.\nEnd {name}.\n"
+        )
+    };
+    let source = names.iter().map(|n| impostor(n)).collect::<String>();
+    e.run(Request::CheckSource { source }).unwrap();
+    for (n, (stmt, value)) in names.iter().zip(&lattice) {
+        assert_ne!(&theorem(&e, n, "typesafe").unwrap(), stmt, "{n}");
+        assert_ne!(eval(&e, n, SUBST_TERM).ok().as_ref(), Some(value), "{n}");
+    }
+
+    e.run(Request::Redefine {
+        family: "STLCFix".into(),
+        field: "step_fix_inv".into(),
+        features: Feature::all().to_vec(),
+    })
+    .unwrap();
+    for (n, (stmt, value)) in names.iter().zip(&lattice) {
+        assert_eq!(&theorem(&e, n, "typesafe").unwrap(), stmt, "{n}");
+        assert_eq!(&eval(&e, n, SUBST_TERM).unwrap(), value, "{n}");
     }
     e.shutdown().unwrap();
 }

@@ -940,14 +940,13 @@ pub fn recheck_lattice_subset_with(
     field: &str,
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
-    let defs = subset_defs(features);
-    if !defs.iter().any(|d| d.name.as_str() == family) {
+    let plan = subset_plan(features);
+    if !plan.iter().any(|p| p.def.name.as_str() == family) {
         return Err(Error::new(format!(
             "redefine: {family} is not a variant of this sub-lattice (features {:?})",
             normalize_features(features)
         )));
     }
-    let plan = plan_with_defs(features, defs)?;
     let (merged, _edited, src) = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
     let m = merged
         .iter()

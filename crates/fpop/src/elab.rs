@@ -25,6 +25,7 @@
 //! reaches across every family (and thread) drawing on the same session.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use objlang::error::{Error, Result};
@@ -51,7 +52,14 @@ pub struct CompiledFamily {
     /// The merged fields, for delta extraction by mixin users.
     pub fields: Vec<MergedField>,
     /// The closed signature (recursive functions concrete; evaluator-ready).
-    pub sig: Signature,
+    ///
+    /// Allocated once, by [`FieldElab::finish`], and shared by every
+    /// holder. A compiled family is never mutated after [`elaborate`], so
+    /// two families whose `sig`s are [`Arc::ptr_eq`] are the same
+    /// compilation; the engine's family registry relies on that to skip
+    /// re-registering a replayed or cut-off variant with one pointer
+    /// compare.
+    pub sig: Arc<Signature>,
     /// Theorems proven in (or inherited by) the family: name → statement.
     pub theorems: HashMap<Symbol, Prop>,
     /// Outstanding assumptions: `Parameter` fields, `Admitted` proofs and
@@ -229,7 +237,7 @@ impl<'m> FieldElab<'m> {
             name: merged.name,
             base: merged.base,
             fields: merged.fields.clone(),
-            sig: closed,
+            sig: Arc::new(closed),
             theorems: self.theorems,
             assumptions: self.assumptions,
             ledger: self.ledger,

@@ -363,7 +363,7 @@ mod tests {
                 name: Symbol::new(tag),
                 base: None,
                 fields: vec![],
-                sig: objlang::Signature::new(),
+                sig: Arc::new(objlang::Signature::new()),
                 theorems: HashMap::new(),
                 assumptions: vec![],
                 ledger: modsys::CheckLedger::new(),

@@ -173,7 +173,7 @@ mod family_tactics {
             .expect("lattice builds");
         ["STLCProd", "STLCSum", "STLCBool"]
             .into_iter()
-            .map(|n| (n, u.family(n).expect("variant compiled").sig.clone()))
+            .map(|n| (n, (*u.family(n).expect("variant compiled").sig).clone()))
             .collect()
     }
 

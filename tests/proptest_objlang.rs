@@ -260,7 +260,7 @@ mod stlc_exec {
     fn stlc_closed_sig() -> Signature {
         let mut u = FamilyUniverse::new();
         u.define(families_stlc::stlc_family()).unwrap();
-        u.family("STLC").unwrap().sig.clone()
+        (*u.family("STLC").unwrap().sig).clone()
     }
 
     /// subst (λy. x) x s replaces free occurrences under non-shadowing
