@@ -423,8 +423,7 @@ fn build_dag(
     workers: usize,
 ) -> Result<LatticeReport> {
     let merged = u.plan(plan.iter().map(|p| &p.def))?;
-    let src = merged.iter().map(incr::source_digest_merged).collect();
-    Ok(build_dag_incr(u, plan, merged, src, MemoMode::Record, workers)?.0)
+    Ok(build_dag_incr(u, plan, merged, MemoMode::Record, workers)?.0)
 }
 
 /// [`build_dag`] with an explicit memo policy — the incremental-recheck
@@ -450,13 +449,11 @@ fn build_dag_incr(
     u: &mut FamilyUniverse,
     plan: Vec<PlanEntry>,
     merged: Vec<MergedFamily>,
-    src: Vec<u64>,
     mode: MemoMode,
     workers: usize,
 ) -> Result<(LatticeReport, IncrOutcome)> {
     let n = plan.len();
     debug_assert_eq!(merged.len(), n);
-    debug_assert_eq!(src.len(), n);
     let (consult, forced) = match mode {
         MemoMode::Record => (false, vec![false; n]),
         MemoMode::Consult(f) => {
@@ -491,7 +488,7 @@ fn build_dag_incr(
             }
             let outs: Option<Vec<u64>> = deps[v].iter().map(|&d| static_out[d]).collect();
             let Some(outs) = outs else { continue };
-            let fp = incr::fingerprint(src[v], &outs);
+            let fp = incr::fingerprint(merged[v].src_digest, &outs);
             if let Some(m) = session.incr_memos().lookup(fp) {
                 static_out[v] = Some(m.out_digest);
                 prefill[v] = Some(VariantDone {
@@ -513,7 +510,7 @@ fn build_dag_incr(
         }
         let name = merged[v].name;
         let mut prev: Option<usize> = None;
-        for mf in &merged[v].fields {
+        for mf in merged[v].fields.iter() {
             let id = dag.add_node(format!("{name}◦{}", mf.name));
             node_map.push((v, NodeKind::Step));
             match prev {
@@ -576,7 +573,7 @@ fn build_dag_incr(
                     dep_outs.push(done.memo.out_digest);
                     any_dep_ran |= done.via == Via::Ran;
                 }
-                st.fp = incr::fingerprint(src[v], &dep_outs);
+                st.fp = incr::fingerprint(merged[v].src_digest, &dep_outs);
                 if consult && !forced[v] {
                     if let Some(m) = session.incr_memos().lookup(st.fp) {
                         // Early cutoff: some dependency re-elaborated but
@@ -891,8 +888,8 @@ pub fn build_lattice_defs_incr_with(
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
     let plan = plan_with_defs(features, defs)?;
-    let (merged, _edited, src) = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    incr_build(prev, plan, merged, src, touch, workers)
+    let merged = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
+    incr_build(prev, plan, merged, touch, workers)
 }
 
 /// Shared tail of the incremental entry points: seeds the forced set from
@@ -902,7 +899,6 @@ fn incr_build(
     prev: &FamilyUniverse,
     plan: Vec<PlanEntry>,
     merged: Vec<MergedFamily>,
-    src: Vec<u64>,
     touch: &[&str],
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
@@ -911,14 +907,8 @@ fn incr_build(
         .map(|p| touch.contains(&p.def.name.as_str()))
         .collect();
     let mut next = FamilyUniverse::with_session(prev.session().clone());
-    let (report, outcome) = build_dag_incr(
-        &mut next,
-        plan,
-        merged,
-        src,
-        MemoMode::Consult(forced),
-        workers,
-    )?;
+    let (report, outcome) =
+        build_dag_incr(&mut next, plan, merged, MemoMode::Consult(forced), workers)?;
     Ok((next, report, outcome))
 }
 
@@ -947,7 +937,7 @@ pub fn recheck_lattice_subset_with(
             normalize_features(features)
         )));
     }
-    let (merged, _edited, src) = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
+    let merged = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
     let m = merged
         .iter()
         .find(|m| m.name.as_str() == family)
@@ -957,7 +947,7 @@ pub fn recheck_lattice_subset_with(
             "redefine: family {family} has no field {field}"
         )));
     }
-    incr_build(prev, plan, merged, src, &[family], workers)
+    incr_build(prev, plan, merged, &[family], workers)
 }
 
 #[cfg(test)]
@@ -1044,13 +1034,39 @@ mod tests {
     }
 
     #[test]
+    fn dag_build_compiles_each_merge_without_copying_it() {
+        let mut u = FamilyUniverse::new();
+        let plan = subset_plan(&Feature::all());
+        let merged = u.plan(plan.iter().map(|p| &p.def)).unwrap();
+        build_dag_incr(&mut u, plan, merged.clone(), MemoMode::Record, 1).unwrap();
+        assert_eq!(merged.len(), 16);
+        for m in &merged {
+            let c = u.family(m.name.as_str()).unwrap();
+            assert!(Arc::ptr_eq(&m.fields, &c.fields), "{}", m.name);
+            assert!(Arc::ptr_eq(&m.extended_names, &c.extended_names));
+            let recomputed = incr::source_digest(m.name, m.base, &m.fields);
+            assert_eq!(m.src_digest, recomputed, "{}", m.name);
+            assert_eq!(c.src_digest, recomputed, "{}", m.name);
+        }
+    }
+
+    #[test]
     fn touch_recheck_reproves_only_dirty_cone() {
         let feats = [Feature::Fix, Feature::Prod];
         let mut u = FamilyUniverse::new();
         let warm = build_lattice_subset_parallel_with(&mut u, &feats, 1).unwrap();
         let field = u.family("STLCFix").unwrap().fields[0].name.to_string();
-        let (_, report, outcome) =
+        let (next, report, outcome) =
             recheck_lattice_subset_with(&u, &feats, "STLCFix", &field, 1).unwrap();
+        // Re-elaborated or memo-served, every variant keeps the field
+        // list of the build it replaced.
+        for name in u.names() {
+            let (a, b) = (
+                &next.family(name.as_str()).unwrap().fields,
+                &u.family(name.as_str()).unwrap().fields,
+            );
+            assert!(Arc::ptr_eq(a, b), "{name}");
+        }
         // STLCFix re-elaborates; STLCFixProd is early-cutoff (its only
         // re-elaborated dependency produced an identical output digest);
         // STLC and STLCProd replay without entering the DAG at all.

@@ -49,8 +49,9 @@ pub struct CompiledFamily {
     pub name: Symbol,
     /// Base family.
     pub base: Option<Symbol>,
-    /// The merged fields, for delta extraction by mixin users.
-    pub fields: Vec<MergedField>,
+    /// The merged fields, for delta extraction by mixin users: the merge's
+    /// own list, shared (see [`MergedFamily`]).
+    pub fields: Arc<[MergedField]>,
     /// The closed signature (recursive functions concrete; evaluator-ready).
     ///
     /// Allocated once, by [`FieldElab::finish`], and shared by every
@@ -70,21 +71,12 @@ pub struct CompiledFamily {
     /// Names further bound during the merge this compilation came from —
     /// preserved so a replan can reconstruct the [`MergedFamily`] of an
     /// unchanged definition without re-merging.
-    pub extended_names: HashSet<Symbol>,
+    pub extended_names: Arc<HashSet<Symbol>>,
     /// [`crate::incr::def_digest`] of the definition, via the merge.
     pub def_digest: u64,
-    /// [`crate::incr::source_digest`] of the merged source, computed once
-    /// here so replanning diffs compiled families by a stored word.
+    /// [`crate::incr::source_digest`] of the merged source, as the merge
+    /// computed it, so replanning diffs compiled families by a stored word.
     pub src_digest: u64,
-}
-
-/// The overridable-definition snapshot key. Computed with the *stable*
-/// hasher ([`crate::stable`]) rather than `DefaultHasher`: the key is
-/// stored inside persistent session snapshots, so it must be identical for
-/// the same bodies in every process — interner ids (which seed `Symbol`'s
-/// derived `Hash`) are not.
-fn odef_hash(odef_key: &[(Symbol, objlang::Term)]) -> u64 {
-    crate::stable::stable_odef_hash(odef_key)
 }
 
 /// Elaborates a merged family into a [`CompiledFamily`], emitting module
@@ -125,13 +117,19 @@ pub struct FieldElab<'m> {
     theorems: HashMap<Symbol, Prop>,
     assumptions: Vec<Symbol>,
     emitter: EmitterState,
-    odef_key: Vec<(Symbol, objlang::Term)>,
+    /// The overridable-definition snapshot key of every proof-cache lookup
+    /// in this family; the merge fixes it, so it is hashed once. Computed
+    /// with the *stable* hasher ([`crate::stable`]) rather than
+    /// `DefaultHasher`: the key is stored inside persistent session
+    /// snapshots, so it must be identical for the same bodies in every
+    /// process — interner ids (which seed `Symbol`'s derived `Hash`) are not.
+    okey: u64,
     next: usize,
 }
 
 impl<'m> FieldElab<'m> {
     /// Prepares an elaboration: installs the prelude into a fresh view
-    /// and snapshots the transparent-definition cache-key component.
+    /// and hashes the transparent-definition cache-key component.
     pub fn new(merged: &'m MergedFamily) -> Result<FieldElab<'m>> {
         let mut view = Signature::new();
         objlang::prelude::install(&mut view)?;
@@ -159,7 +157,7 @@ impl<'m> FieldElab<'m> {
             theorems: HashMap::new(),
             assumptions: Vec::new(),
             emitter: EmitterState::new(merged.name),
-            odef_key,
+            okey: crate::stable::stable_odef_hash(&odef_key),
             next: 0,
         })
     }
@@ -193,7 +191,7 @@ impl<'m> FieldElab<'m> {
             &mut self.assumptions,
             &mut self.emitter,
             modenv,
-            &self.odef_key,
+            self.okey,
         )
         .map_err(|e| e.with_context(format!("field {} of family {fam}", mf.name)))?;
         self.ledger.record_unit_time(&unit, started.elapsed());
@@ -210,8 +208,8 @@ impl<'m> FieldElab<'m> {
         // definitions become concrete; their definitional equalities are
         // now available "outside the family" (Section 3.2's STLCFix.subst
         // discussion).
-        let mut closed = self.view.clone();
-        for mf in &merged.fields {
+        let mut closed = self.view;
+        for mf in merged.fields.iter() {
             if let Field::Recursion {
                 name,
                 rec_sort,
@@ -236,14 +234,14 @@ impl<'m> FieldElab<'m> {
         Ok(CompiledFamily {
             name: merged.name,
             base: merged.base,
-            fields: merged.fields.clone(),
+            fields: Arc::clone(&merged.fields),
             sig: Arc::new(closed),
             theorems: self.theorems,
             assumptions: self.assumptions,
             ledger: self.ledger,
-            extended_names: merged.extended_names.clone(),
+            extended_names: Arc::clone(&merged.extended_names),
             def_digest: merged.def_digest,
-            src_digest: crate::incr::source_digest_merged(merged),
+            src_digest: merged.src_digest,
         })
     }
 }
@@ -260,7 +258,7 @@ fn check_field(
     assumptions: &mut Vec<Symbol>,
     emitter: &mut EmitterState,
     env: &mut ModuleEnv,
-    odef_key: &[(Symbol, objlang::Term)],
+    okey: u64,
 ) -> Result<()> {
     let fam = merged.name;
     match &mf.content {
@@ -423,7 +421,6 @@ fn check_field(
             view.check_prop(&HashMap::new(), statement)?;
             match proof {
                 ProofSpec::Script(script) => {
-                    let okey = odef_hash(odef_key);
                     let hit = txn.lookup_theorem(statement, script, &None, okey);
                     txn.count_site(LookupSite::Theorem, hit);
                     if hit {
@@ -455,7 +452,6 @@ fn check_field(
                         })
                         .collect();
                     let cw_key = Some(cw_key);
-                    let okey = odef_hash(odef_key);
                     let hit = txn.lookup_theorem(statement, script, &cw_key, okey);
                     txn.count_site(LookupSite::Reprove, hit);
                     if hit {
@@ -519,7 +515,6 @@ fn check_field(
                 })?;
                 let seq = case_sequent(view, &p, rule, &motive)?;
                 let case_unit = format!("{unit}◦{}", rule.name);
-                let okey = odef_hash(odef_key);
                 let cached = txn.lookup_case(&seq, script, okey);
                 txn.count_site(LookupSite::Induction, cached.is_some());
                 if let Some(pf) = cached {
@@ -583,7 +578,6 @@ fn check_field(
                 })?;
                 let seq = data_case_sequent(view, *datatype, ctor.name, motive)?;
                 let case_unit = format!("{unit}◦{}", ctor.name);
-                let okey = odef_hash(odef_key);
                 let cached = txn.lookup_case(&seq, script, okey);
                 txn.count_site(LookupSite::DataInduction, cached.is_some());
                 if let Some(pf) = cached {

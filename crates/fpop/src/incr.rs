@@ -49,16 +49,17 @@ use objlang::ident::Symbol;
 use trace::{Counter, Registry};
 
 use crate::elab::CompiledFamily;
-use crate::merge::{MergedFamily, MergedField};
+use crate::merge::MergedField;
 use crate::session::TxnParts;
 use crate::stable::Fnv64;
 
 /// FNV-64 digest of a variant's merged source: family name, base, and the
 /// structural rendering of every merged field, length-prefixed.
 ///
-/// Computable from both a pre-elaboration [`MergedFamily`] and a
-/// post-elaboration [`CompiledFamily`] (whose `fields` are the merged
-/// fields verbatim), and equal across the two — this is what lets
+/// [`merge`](crate::merge::merge) computes it once and stores it as
+/// [`MergedFamily::src_digest`](crate::merge::MergedFamily::src_digest);
+/// compilation carries the same word into
+/// [`CompiledFamily::src_digest`] — this is what lets
 /// [`replan_after_edit`](crate::universe::FamilyUniverse::replan_after_edit)
 /// diff a new plan against the previous build's compiled families.
 pub fn source_digest(name: Symbol, base: Option<Symbol>, fields: &[MergedField]) -> u64 {
@@ -83,23 +84,11 @@ pub fn source_digest(name: Symbol, base: Option<Symbol>, fields: &[MergedField])
     h.finish()
 }
 
-/// [`source_digest`] of a merged (not yet elaborated) family.
-pub fn source_digest_merged(m: &MergedFamily) -> u64 {
-    source_digest(m.name, m.base, &m.fields)
-}
-
-/// [`source_digest`] of a compiled family: the value elaboration cached
-/// at compile time (same schema, same value as the merged family the
-/// compilation came from), so replanning never re-hashes a compiled
-/// family's fields.
-pub fn source_digest_compiled(c: &CompiledFamily) -> u64 {
-    c.src_digest
-}
-
 /// FNV-64 digest of a family *definition* — the vernacular as written
 /// (name, `extends`, `using`, own fields), before any merging. Two defs
 /// with equal digests merged over content-identical ancestor chains
-/// produce identical [`MergedFamily`]s, which is the fast-path condition
+/// produce identical [`MergedFamily`](crate::merge::MergedFamily)s, which
+/// is the fast-path condition
 /// [`replan_after_edit`](crate::universe::FamilyUniverse::replan_after_edit)
 /// uses to reuse a previous build's merge without re-running it. Orders of
 /// magnitude cheaper than [`source_digest`]: a def carries only its *own*
@@ -311,7 +300,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::family::FamilyDef;
-    use crate::merge::merge;
+    use crate::merge::{merge, MergedFamily};
     use objlang::sig::CtorSig;
     use objlang::syntax::Prop;
 
@@ -326,9 +315,10 @@ mod tests {
     fn source_digest_is_content_determined() {
         let a = merged("Fam");
         let b = merged("Fam");
-        assert_eq!(source_digest_merged(&a), source_digest_merged(&b));
+        assert_eq!(a.src_digest, b.src_digest);
+        assert_eq!(a.src_digest, source_digest(a.name, a.base, &a.fields));
         let other = merged("Other");
-        assert_ne!(source_digest_merged(&a), source_digest_merged(&other));
+        assert_ne!(a.src_digest, other.src_digest);
     }
 
     #[test]
@@ -341,7 +331,7 @@ mod tests {
             )
             .theorem("thm", Prop::True, vec![]);
         let b = merge(&f, &[], &[]).unwrap();
-        assert_ne!(source_digest_merged(&a), source_digest_merged(&b));
+        assert_ne!(a.src_digest, b.src_digest);
     }
 
     #[test]
@@ -362,12 +352,12 @@ mod tests {
             compiled: Arc::new(CompiledFamily {
                 name: Symbol::new(tag),
                 base: None,
-                fields: vec![],
+                fields: Arc::new([]),
                 sig: Arc::new(objlang::Signature::new()),
                 theorems: HashMap::new(),
                 assumptions: vec![],
                 ledger: modsys::CheckLedger::new(),
-                extended_names: std::collections::HashSet::new(),
+                extended_names: Arc::default(),
                 def_digest: 0,
                 src_digest: 0,
             }),

@@ -17,6 +17,7 @@
 //!   reprove-on-extend lemmas downstream.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use objlang::error::{Error, Result};
 use objlang::ident::Symbol;
@@ -44,7 +45,9 @@ pub struct MergedField {
     pub inherited_from: Option<Symbol>,
 }
 
-/// The result of merging.
+/// The result of merging. Its field list and name set are allocated once,
+/// by [`merge`], and never mutated: the plan, the elaboration, the compiled
+/// family and every replan of an unchanged definition share them.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MergedFamily {
     /// Family name.
@@ -52,13 +55,16 @@ pub struct MergedFamily {
     /// Base family, if any.
     pub base: Option<Symbol>,
     /// Merged fields in checking order.
-    pub fields: Vec<MergedField>,
+    pub fields: Arc<[MergedField]>,
     /// Names further bound (extended or overridden) during this merge.
-    pub extended_names: HashSet<Symbol>,
+    pub extended_names: Arc<HashSet<Symbol>>,
     /// [`crate::incr::def_digest`] of the definition this merge came from
     /// — carried through compilation so a later replan can recognize an
     /// unchanged def and skip re-merging it.
     pub def_digest: u64,
+    /// [`crate::incr::source_digest`] of `name`, `base` and `fields`,
+    /// computed once by [`merge`] for fingerprints and replan diffs.
+    pub src_digest: u64,
 }
 
 /// Merges `own` with the base field list and the mixin deltas.
@@ -90,8 +96,9 @@ pub fn merge(
     Ok(MergedFamily {
         name: own.name,
         base: own.extends,
-        fields,
-        extended_names: extended,
+        src_digest: crate::incr::source_digest(own.name, own.extends, &fields),
+        fields: fields.into(),
+        extended_names: Arc::new(extended),
         def_digest: crate::incr::def_digest(own),
     })
 }
@@ -405,7 +412,7 @@ mod tests {
     use objlang::sym;
     use objlang::syntax::Prop;
 
-    fn base() -> Vec<MergedField> {
+    fn base() -> Arc<[MergedField]> {
         let f = FamilyDef::new("Base")
             .inductive("tm", vec![CtorSig::new("c1", vec![])])
             .theorem("thm", Prop::True, vec![]);

@@ -16,7 +16,7 @@ use crate::elab::CompiledFamily;
 pub fn qualified_display(fam: &CompiledFamily, field: &str, prop: &Prop) -> String {
     let mut field_names: HashSet<Symbol> = fam.fields.iter().map(|f| f.name).collect();
     // Constructors and rules of family fields are nested names too.
-    for f in &fam.fields {
+    for f in fam.fields.iter() {
         match &f.content {
             crate::family::Field::Inductive { ctors, .. }
             | crate::family::Field::Data { ctors, .. } => {

@@ -115,21 +115,22 @@ impl FamilyUniverse {
         // Shape of a prior family, wherever it lives: (base, fields).
         let shape_of = |name: Symbol| -> Option<(Option<Symbol>, &[MergedField])> {
             if let Some(p) = planned.get(&name) {
-                return Some((p.base, &p.fields));
+                return Some((p.base, &p.fields[..]));
             }
             self.families.get(&name).map(|c| (c.base, &c.fields[..]))
         };
-        let base_fields: Vec<MergedField> = match def.extends {
+        let base_fields: &[MergedField] = match def.extends {
             None => {
                 if !def.mixins.is_empty() {
                     return Err(Error::new("`using` requires an `extends` base"));
                 }
-                Vec::new()
+                &[]
             }
-            Some(base) => shape_of(base)
-                .ok_or_else(|| Error::new(format!("unknown base family {base}")))?
-                .1
-                .to_vec(),
+            Some(base) => {
+                shape_of(base)
+                    .ok_or_else(|| Error::new(format!("unknown base family {base}")))?
+                    .1
+            }
         };
         let mut mixin_deltas = Vec::new();
         for m in &def.mixins {
@@ -141,11 +142,11 @@ impl FamilyUniverse {
                     def.extends
                 )));
             }
-            let delta = delta_of(&base_fields, mixin_fields)
+            let delta = delta_of(base_fields, mixin_fields)
                 .map_err(|e| e.with_context(format!("delta of mixin {m}")))?;
             mixin_deltas.push((*m, delta));
         }
-        merge(def, &base_fields, &mixin_deltas)
+        merge(def, base_fields, &mixin_deltas)
     }
 
     /// Resolves a whole batch of definitions up front, each against this
@@ -172,28 +173,26 @@ impl FamilyUniverse {
 
     /// Replans a whole lattice *after an edit*: like [`Self::plan`], but
     /// definitions may reuse the names of families already compiled in
-    /// this universe (the new merges shadow them), and each planned
-    /// variant is diffed against the previous build by source digest
-    /// ([`crate::incr::source_digest`]). Returns the merges in input
-    /// order, an `edited` flag per variant — `true` when the merged
-    /// source differs from the compiled family of the same name (or no
-    /// such family exists) — and each merge's source digest. The flags
-    /// seed the incremental lattice build with exactly the dirty cone's
-    /// roots; everything else is a memo candidate.
+    /// this universe (the new merges shadow them). Returns the merges in
+    /// input order; each carries its source digest
+    /// ([`crate::incr::source_digest`]), which the incremental lattice
+    /// build fingerprints, so only the edited variants and their
+    /// dependents re-elaborate.
     ///
     /// Replanning is itself incremental: a definition whose
     /// [`def_digest`](crate::incr::def_digest) matches its compiled
     /// predecessor's, and whose base and mixins are all clean, *must*
     /// merge to the predecessor's exact field list — so the merge is
-    /// reconstructed from the compiled family (a field-list clone and two
-    /// stored digests) instead of re-run. This leans on the universes the
-    /// in-tree builders produce being internally consistent: every
-    /// compiled family was compiled against the ancestor shapes compiled
-    /// beside it.
+    /// reconstructed from the compiled family (the predecessor's shared
+    /// field list and stored digests, pointers and words only) instead of
+    /// re-run. A re-run merge counts as clean when its source digest
+    /// equals its predecessor's. This leans on the universes the in-tree
+    /// builders produce being internally consistent: every compiled family
+    /// was compiled against the ancestor shapes compiled beside it.
     pub fn replan_after_edit<'a>(
         &self,
         defs: impl IntoIterator<Item = &'a FamilyDef>,
-    ) -> Result<(Vec<crate::merge::MergedFamily>, Vec<bool>, Vec<u64>)> {
+    ) -> Result<Vec<crate::merge::MergedFamily>> {
         let mut planned: HashMap<Symbol, crate::merge::MergedFamily> = HashMap::new();
         // Batch members that came out content-equal to their compiled
         // predecessor. Ancestors *outside* the batch are compiled families
@@ -206,35 +205,29 @@ impl FamilyUniverse {
                 .unwrap_or_else(|| self.families.contains_key(name))
         };
         let mut out = Vec::new();
-        let mut edited = Vec::new();
-        let mut digests = Vec::new();
         for def in defs {
             let prev = self.families.get(&def.name);
             let chain_clean = def.extends.is_none_or(|b| is_clean(&b, &clean))
                 && def.mixins.iter().all(|m| is_clean(m, &clean));
             let dd = crate::incr::def_digest(def);
-            let (merged, dirty, digest) = match prev {
+            let (merged, dirty) = match prev {
                 Some(p) if chain_clean && p.def_digest == dd => (
                     crate::merge::MergedFamily {
                         name: p.name,
                         base: p.base,
-                        fields: p.fields.clone(),
-                        extended_names: p.extended_names.clone(),
+                        fields: Arc::clone(&p.fields),
+                        extended_names: Arc::clone(&p.extended_names),
                         def_digest: dd,
+                        src_digest: p.src_digest,
                     },
                     false,
-                    p.src_digest,
                 ),
                 _ => {
                     let merged = self
                         .resolve_inner(def, &planned, true)
                         .map_err(|e| e.with_context(format!("replanning family {}", def.name)))?;
-                    let digest = crate::incr::source_digest_merged(&merged);
-                    let dirty = match prev {
-                        Some(p) => crate::incr::source_digest_compiled(p) != digest,
-                        None => true,
-                    };
-                    (merged, dirty, digest)
+                    let dirty = prev.is_none_or(|p| p.src_digest != merged.src_digest);
+                    (merged, dirty)
                 }
             };
             clean.insert(def.name, !dirty);
@@ -245,10 +238,8 @@ impl FamilyUniverse {
                 planned.insert(def.name, merged.clone());
             }
             out.push(merged);
-            edited.push(dirty);
-            digests.push(digest);
         }
-        Ok((out, edited, digests))
+        Ok(out)
     }
 
     /// Defines (elaborates and checks) a family. Equivalent to executing

@@ -19,8 +19,11 @@
 //! public counting API (`checked_count`, `shared_count`, `reuse_ratio`) is
 //! unchanged; `checked()`/`shared()` materialize the name series with
 //! multiplicity for callers that filter by substring.
+//! A unit name is allocated once, where it is first recorded; absorbing or
+//! cloning a ledger shares it (`Arc<str>`) instead of copying it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One deduplicated ledger record: how often a unit was checked fresh vs
@@ -28,7 +31,7 @@ use std::time::Duration;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LedgerEntry {
     /// Unit name (e.g. `STLC◦typesafe` or `STLCFix◦preserve◦ht_fix`).
-    pub name: String,
+    pub name: Arc<str>,
     /// Number of fresh checks recorded for this unit.
     pub checked: usize,
     /// Number of reuses (no recheck) recorded for this unit.
@@ -41,7 +44,7 @@ pub struct LedgerEntry {
 #[derive(Clone, Default, Debug)]
 pub struct CheckLedger {
     entries: Vec<LedgerEntry>,
-    index: HashMap<String, usize>,
+    index: HashMap<Arc<str>, usize>,
     checked_total: usize,
     shared_total: usize,
     cache_hits: usize,
@@ -54,14 +57,15 @@ impl CheckLedger {
         CheckLedger::default()
     }
 
-    fn entry_mut(&mut self, name: &str) -> &mut LedgerEntry {
-        if let Some(&i) = self.index.get(name) {
+    fn entry_mut(&mut self, name: impl AsRef<str> + Into<Arc<str>>) -> &mut LedgerEntry {
+        if let Some(&i) = self.index.get(name.as_ref()) {
             return &mut self.entries[i];
         }
         let i = self.entries.len();
-        self.index.insert(name.to_string(), i);
+        let name: Arc<str> = name.into();
+        self.index.insert(Arc::clone(&name), i);
         self.entries.push(LedgerEntry {
-            name: name.to_string(),
+            name,
             checked: 0,
             shared: 0,
             nanos: 0,
@@ -148,7 +152,7 @@ impl CheckLedger {
     pub fn checked(&self) -> Vec<String> {
         self.entries
             .iter()
-            .flat_map(|e| std::iter::repeat_n(e.name.clone(), e.checked))
+            .flat_map(|e| std::iter::repeat_n(e.name.to_string(), e.checked))
             .collect()
     }
 
@@ -156,7 +160,7 @@ impl CheckLedger {
     pub fn shared(&self) -> Vec<String> {
         self.entries
             .iter()
-            .flat_map(|e| std::iter::repeat_n(e.name.clone(), e.shared))
+            .flat_map(|e| std::iter::repeat_n(e.name.to_string(), e.shared))
             .collect()
     }
 
@@ -180,18 +184,18 @@ impl CheckLedger {
         by_time
             .into_iter()
             .take(n)
-            .map(|e| (e.name.clone(), Duration::from_nanos(e.nanos)))
+            .map(|e| (e.name.to_string(), Duration::from_nanos(e.nanos)))
             .collect()
     }
 
     /// Merges another ledger into this one.
     ///
-    /// Entries are merged *by name* into counted records — no per-record
-    /// `String` clone for names this ledger already tracks, and absorbing
-    /// the same ledger shape repeatedly grows counters, not allocations.
+    /// Entries are merged *by name* into counted records — a name new to
+    /// this ledger is shared with `other`, not copied, and absorbing the
+    /// same ledger shape repeatedly grows counters, not allocations.
     pub fn absorb(&mut self, other: &CheckLedger) {
         for e in &other.entries {
-            let mine = self.entry_mut(&e.name);
+            let mine = self.entry_mut(Arc::clone(&e.name));
             mine.checked += e.checked;
             mine.shared += e.shared;
             mine.nanos += e.nanos;
@@ -271,6 +275,19 @@ mod tests {
         // Multiplicity is preserved in the materialized series.
         assert_eq!(a.checked().len(), 2);
         assert_eq!(a.shared().len(), 3);
+    }
+
+    #[test]
+    fn absorb_and_clone_share_names() {
+        let mut b = CheckLedger::new();
+        b.record_checked("x");
+        let mut a = CheckLedger::new();
+        a.absorb(&b);
+        let c = a.clone();
+        // One allocation of "x" serves all three ledgers.
+        assert!(Arc::ptr_eq(&a.entries()[0].name, &b.entries()[0].name));
+        assert!(Arc::ptr_eq(&c.entries()[0].name, &b.entries()[0].name));
+        assert_eq!(&*a.entries()[0].name, "x");
     }
 
     #[test]
