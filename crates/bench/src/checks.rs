@@ -1,13 +1,16 @@
 //! Whole-check-path benches: compiling family `STLC` (Figure 2 → Figure 4)
 //! and the derived `STLCFix` (Figure 5), plus the Section 7 composition
-//! lattice (15 variants, sequential and parallel) — the cold-check
-//! workloads the hash-consing acceptance criterion is measured on.
+//! lattice (15 variants; testkit's sequential reference and the task DAG
+//! at several worker counts) — the cold-check workloads the hash-consing
+//! acceptance criterion is measured on.
 //!
 //! Results land in `BENCH_engine.json` together with the engine series.
 
 use crate::harness::Bencher;
+use families_stlc::{lattice, subset_defs, Feature};
 use fpop::universe::FamilyUniverse;
 use std::time::Instant;
+use testkit::lattice_ref::build_sequential;
 
 /// Registers the compile/lattice series on `b`.
 pub fn run(b: &mut Bencher) {
@@ -31,35 +34,32 @@ pub fn run(b: &mut Bencher) {
         d
     });
 
-    // Variant count measured once up front (base + the 15 compositions).
-    let n_variants = {
-        let mut u = FamilyUniverse::new();
-        families_stlc::build_lattice(&mut u).unwrap().rows.len()
-    };
+    // Base + the 15 compositions.
+    let n_variants = subset_defs(&Feature::all()).len();
 
     b.bench("lattice/build_cold", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice(&mut u).unwrap();
+        let rep = build_sequential(&mut u, &Feature::all()).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
 
     b.bench("lattice/build_cold_parallel", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice_parallel(&mut u).unwrap();
+        let rep = lattice::build(&mut u, &Feature::all(), fpop::sched::default_workers()).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
     b.mark_speedup("lattice/build_cold_parallel", "lattice/build_cold");
 
-    // One DAG worker vs the sequential wave builder: the same work on
-    // the same thread, so the ratio is pure scheduler bookkeeping —
+    // One DAG worker vs the sequential reference: the same work on the
+    // same thread, so the ratio is pure scheduler bookkeeping —
     // task-graph construction, the ready queue, the COW env overlays.
     // Healthy is ≈ 1.0; this row is the pin the single-worker-overhead
     // satellite work moves.
     b.bench("lattice/build_cold_1w", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice_parallel_with(&mut u, 1).unwrap();
+        let rep = lattice::build(&mut u, &Feature::all(), 1).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
@@ -73,7 +73,7 @@ pub fn run(b: &mut Bencher) {
         let name = format!("lattice/build_cold_parallel_{workers}w");
         b.bench(&name, n_variants as f64, || {
             let mut u = FamilyUniverse::new();
-            let rep = families_stlc::build_lattice_parallel_with(&mut u, workers).unwrap();
+            let rep = lattice::build(&mut u, &Feature::all(), workers).unwrap();
             assert_eq!(rep.rows.len(), n_variants);
             rep.rows.len()
         });

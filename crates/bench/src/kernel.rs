@@ -193,7 +193,8 @@ pub fn run(b: &mut Bencher) {
 /// `Feature::all()` sub-lattice.
 ///
 /// * `lattice/full_rebuild_warm` — the pre-memo behavior on *any* edit:
-///   re-elaborate every variant. The session's proof cache is warm (the
+///   re-elaborate every variant (testkit's sequential reference, every
+///   variant defined in plan order). The session's proof cache is warm (the
 ///   obligations all hit), so this isolates elaboration itself, which is
 ///   exactly what the fingerprint memo avoids.
 /// * `lattice/recheck_one_field` — the `redefine` verb: one variant is
@@ -208,44 +209,37 @@ pub fn run(b: &mut Bencher) {
 /// work-proportionality, not thread parallelism, so it is meaningful on
 /// a single core.
 fn recheck_series(b: &mut Bencher) {
-    use families_stlc::{subset_defs, Feature};
+    use families_stlc::{lattice, subset_defs, Feature};
     use fpop::universe::FamilyUniverse;
+    use testkit::lattice_ref::build_sequential;
 
     eprintln!("\n== kernel: incremental recheck (fingerprint early cutoff) ==");
     let feats = Feature::all();
 
     // One cold incremental build warms both caches the series leans on:
     // the session proof cache and the elaboration memo.
-    let (warm, cold_report, _) = families_stlc::build_lattice_defs_incr_with(
-        &FamilyUniverse::new(),
-        &feats,
-        subset_defs(&feats),
-        &[],
-        1,
-    )
-    .expect("cold lattice build");
+    let (warm, cold_report, _) =
+        lattice::rebuild(&FamilyUniverse::new(), &feats, subset_defs(&feats), &[], 1)
+            .expect("cold lattice build");
     let rows = cold_report.rows.len();
 
     b.bench("lattice/full_rebuild_warm", rows as f64, || {
         let mut u = FamilyUniverse::with_session(warm.session().clone());
-        let rep = families_stlc::build_lattice_defs(&mut u, &feats, subset_defs(&feats))
-            .expect("warm full rebuild");
+        let rep = build_sequential(&mut u, &feats).expect("warm full rebuild");
         assert_eq!(rep.rows.len(), rows);
         rep.rows.len()
     });
 
     b.bench("lattice/recheck_one_field", rows as f64, || {
         let (_, rep, outcome) =
-            families_stlc::recheck_lattice_subset_with(&warm, &feats, "STLCFix", "step_fix_inv", 1)
-                .expect("recheck");
+            lattice::redefine(&warm, &feats, "STLCFix", "step_fix_inv", 1).expect("recheck");
         assert_eq!(outcome.dirty, 1, "exactly the touched variant re-runs");
         rep.rows.len()
     });
 
     b.bench("lattice/recheck_noop", rows as f64, || {
         let (_, rep, outcome) =
-            families_stlc::build_lattice_defs_incr_with(&warm, &feats, subset_defs(&feats), &[], 1)
-                .expect("no-op recheck");
+            lattice::rebuild(&warm, &feats, subset_defs(&feats), &[], 1).expect("no-op recheck");
         assert_eq!(outcome.dirty, 0, "an unchanged lattice re-proves nothing");
         rep.rows.len()
     });

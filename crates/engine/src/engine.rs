@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use families_stlc::build_lattice_subset_parallel_with;
+use families_stlc::lattice;
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
 use objlang::sig::Signature;
@@ -590,11 +590,10 @@ impl Shared {
                 // Field-level task DAG: a single cold batch elaborates
                 // across the scheduler's workers instead of pinning one
                 // queue worker (same verdicts, ledgers, and session
-                // contents as the sequential build — see the parallel
+                // contents as the sequential reference — see the parallel
                 // differential oracle).
-                let report =
-                    build_lattice_subset_parallel_with(&mut u, &features, self.sched_workers)
-                        .map_err(|e| EngineError::Failed(e.to_string()))?;
+                let report = lattice::build(&mut u, &features, self.sched_workers)
+                    .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
                 self.make_resident(u);
                 Ok(Response::Lattice { report, ledger })
@@ -621,14 +620,9 @@ impl Shared {
                 let prev = resident.unwrap_or_else(|| {
                     Arc::new(FamilyUniverse::with_session(Arc::clone(&self.session)))
                 });
-                let (u, report, _outcome) = families_stlc::recheck_lattice_subset_with(
-                    &prev,
-                    &features,
-                    &family,
-                    &field,
-                    self.sched_workers,
-                )
-                .map_err(|e| EngineError::Failed(e.to_string()))?;
+                let (u, report, _outcome) =
+                    lattice::redefine(&prev, &features, &family, &field, self.sched_workers)
+                        .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
                 self.make_resident(u);
                 Ok(Response::Lattice { report, ledger })

@@ -11,9 +11,9 @@
 use std::time::Duration;
 
 use engine::{Engine, EngineConfig, EngineError, Priority, Request, Response};
-use families_stlc::build_lattice_subset;
 use fpop::universe::FamilyUniverse;
 use testkit::family_gen::gen_feature_subset;
+use testkit::lattice_ref::build_sequential;
 use testkit::script_gen::{gen_vernacular, Verdict, VernacularProgram};
 use testkit::{run_cases, Rng};
 
@@ -138,9 +138,9 @@ fn cancellation_and_deadlines_never_corrupt_verdicts() {
     engine.shutdown().unwrap();
 }
 
-/// Engine lattice builds agree row-for-row with direct in-process builds
-/// of the same random feature subset, and the theorems they register are
-/// queryable with the statements the kernel proved.
+/// Engine lattice builds agree row-for-row with testkit's sequential
+/// reference build of the same random feature subset, and the theorems
+/// they register are queryable with the statements the kernel proved.
 #[test]
 fn engine_lattice_matches_in_process_lattice() {
     let engine = Engine::start(no_snapshot(3));
@@ -153,7 +153,7 @@ fn engine_lattice_matches_in_process_lattice() {
             other => panic!("lattice request answered {other:?}"),
         };
         let mut u = FamilyUniverse::new();
-        let direct = build_lattice_subset(&mut u, &subset.normalized).expect("in-process build");
+        let direct = build_sequential(&mut u, &subset.normalized).expect("in-process build");
         assert_eq!(report.rows.len(), direct.rows.len(), "row counts differ");
         for (e, d) in report.rows.iter().zip(&direct.rows) {
             assert_eq!(e.name, d.name, "variant order differs");

@@ -17,7 +17,7 @@
 //!   changing a byte.
 
 use engine::snapshot::{decode_snapshot, encode_snapshot};
-use families_stlc::{build_lattice_subset, Feature};
+use families_stlc::{lattice, Feature};
 use fpop::session::{ExportEntry, Session};
 use fpop::universe::FamilyUniverse;
 
@@ -25,8 +25,12 @@ use fpop::universe::FamilyUniverse;
 /// a session with the given shard count and export its entries.
 fn build_and_export(shards: usize) -> Vec<ExportEntry> {
     let mut u = FamilyUniverse::with_session(Session::with_shards(shards));
-    build_lattice_subset(&mut u, &[Feature::Fix, Feature::Prod])
-        .unwrap_or_else(|e| panic!("lattice build on {shards}-shard session failed: {e:?}"));
+    lattice::build(
+        &mut u,
+        &[Feature::Fix, Feature::Prod],
+        fpop::sched::default_workers(),
+    )
+    .unwrap_or_else(|e| panic!("lattice build on {shards}-shard session failed: {e:?}"));
     u.session().export()
 }
 

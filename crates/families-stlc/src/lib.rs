@@ -5,6 +5,8 @@
 //! families (ε fixpoints, × products, + sums, µ iso-recursive types), and
 //! the full mixin-composition lattice of the paper's Venn diagram — 15
 //! feature combinations, each with an inherited `typesafe` theorem.
+//! [`lattice::build`], [`lattice::rebuild`] and [`lattice::redefine`] build
+//! it (or any sub-lattice) on the task DAG.
 
 pub mod base;
 pub mod boolean;
@@ -18,9 +20,5 @@ pub mod util;
 
 pub use base::stlc_family;
 pub use lattice::{
-    build_extended_lattice, build_extended_lattice_parallel, build_extended_lattice_parallel_with,
-    build_lattice, build_lattice_defs, build_lattice_defs_incr_with, build_lattice_parallel,
-    build_lattice_parallel_with, build_lattice_subset, build_lattice_subset_parallel,
-    build_lattice_subset_parallel_with, normalize_features, recheck_lattice_subset_with,
-    subset_defs, variant_name, Feature, LatticeReport, VariantStat,
+    normalize_features, subset_defs, variant_name, Feature, LatticeReport, VariantStat,
 };

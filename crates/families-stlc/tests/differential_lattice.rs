@@ -1,46 +1,22 @@
-//! Differential oracle 2: **parallel vs. sequential lattice builds** on
+//! Differential oracle 2: **task-DAG vs. sequential lattice builds** on
 //! *randomized* feature subsets.
 //!
 //! `parallel_lattice.rs` pins the two fixed lattices (Venn and extended);
 //! this suite drives the same observational-equivalence property across
 //! random sublattices drawn by [`testkit::family_gen`], with integrated
 //! shrinking: a failing subset is minimized feature by feature before the
-//! harness reports its replay seed.
+//! harness reports its replay seed. The control is testkit's sequential
+//! reference ([`testkit::lattice_ref::build_sequential`]).
 
-use families_stlc::{
-    build_lattice_subset, build_lattice_subset_parallel, normalize_features, variant_name,
-    LatticeReport,
-};
+use families_stlc::{lattice, normalize_features, variant_name};
+use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
 use testkit::family_gen::{gen_composition_chain, gen_feature_subset, FeatureSubset};
+use testkit::lattice_ref::{build_sequential, reports_match};
 use testkit::{forall, run_cases};
 
-/// Row-by-row comparison modulo wall time.
-fn reports_match(seq: &LatticeReport, par: &LatticeReport) -> Result<(), String> {
-    if seq.rows.len() != par.rows.len() {
-        return Err(format!(
-            "row count differs: seq {} vs par {}",
-            seq.rows.len(),
-            par.rows.len()
-        ));
-    }
-    for (s, p) in seq.rows.iter().zip(&par.rows) {
-        if s.name != p.name {
-            return Err(format!("variant order differs: {} vs {}", s.name, p.name));
-        }
-        if (s.arity, s.fields, s.checked, s.shared) != (p.arity, p.fields, p.checked, p.shared) {
-            return Err(format!(
-                "{}: (arity, fields, checked, shared) = ({}, {}, {}, {}) seq vs ({}, {}, {}, {}) par",
-                s.name, s.arity, s.fields, s.checked, s.shared, p.arity, p.fields, p.checked,
-                p.shared
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Random sublattices elaborate to ledger-identical reports whether the
-/// waves run sequentially or on the worker pool.
+/// variants are defined one by one or run on the task DAG's worker pool.
 #[test]
 fn random_sublattices_build_identically_parallel_and_sequential() {
     forall(
@@ -50,10 +26,10 @@ fn random_sublattices_build_identically_parallel_and_sequential() {
         gen_feature_subset,
         |s: &FeatureSubset| {
             let mut seq_u = FamilyUniverse::new();
-            let seq = build_lattice_subset(&mut seq_u, &s.normalized)
+            let seq = build_sequential(&mut seq_u, &s.normalized)
                 .map_err(|e| format!("sequential build failed: {e:?}"))?;
             let mut par_u = FamilyUniverse::new();
-            let par = build_lattice_subset_parallel(&mut par_u, &s.normalized)
+            let par = lattice::build(&mut par_u, &s.normalized, default_workers())
                 .map_err(|e| format!("parallel build failed: {e:?}"))?;
             reports_match(&seq, &par)?;
             if !seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger) {
@@ -87,10 +63,10 @@ fn sublattice_rebuilds_are_deterministic() {
         gen_feature_subset,
         |s: &FeatureSubset| {
             let mut u1 = FamilyUniverse::new();
-            let r1 = build_lattice_subset_parallel(&mut u1, &s.normalized)
+            let r1 = lattice::build(&mut u1, &s.normalized, default_workers())
                 .map_err(|e| format!("first build failed: {e:?}"))?;
             let mut u2 = FamilyUniverse::new();
-            let r2 = build_lattice_subset_parallel(&mut u2, &s.normalized)
+            let r2 = lattice::build(&mut u2, &s.normalized, default_workers())
                 .map_err(|e| format!("second build failed: {e:?}"))?;
             reports_match(&r1, &r2)?;
             if !u1.modenv.ledger.same_counts(&u2.modenv.ledger) {

@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use families_stlc::{subset_defs, Feature, LatticeReport};
+use families_stlc::{lattice, subset_defs, Feature, LatticeReport};
+use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
 
 /// EXPERIMENTS.md's CS1 table, row for row in canonical plan order:
@@ -43,7 +44,8 @@ fn assert_cs1(report: &LatticeReport, build: &str) {
 #[test]
 fn venn_lattice_all_typesafe() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_lattice(&mut u).expect("lattice must compile");
+    let report =
+        lattice::build(&mut u, &Feature::all(), default_workers()).expect("lattice must compile");
     assert_eq!(report.rows.len(), 16); // base + 15 variants
     for row in &report.rows {
         let out = u.check(&row.name, "typesafe").unwrap();
@@ -57,21 +59,21 @@ fn venn_lattice_all_typesafe() {
         .find(|r| r.name == "STLCFixProdSumIsorec")
         .unwrap();
     assert!(quad.reuse_ratio > 0.6, "quad reuse {}", quad.reuse_ratio);
-    assert_cs1(&report, "sequential");
+    assert_cs1(&report, "default-width DAG");
     println!("{}", report.to_table());
 }
 
 #[test]
 fn dag_build_reproduces_cs1_and_the_session_series() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_lattice_parallel_with(&mut u, 1).expect("lattice builds");
+    let report = lattice::build(&mut u, &Feature::all(), 1).expect("lattice builds");
     assert_cs1(&report, "1-worker DAG");
     let cold = u.session().snapshot_stats();
     assert_eq!((cold.misses, cold.inserts), (COLD_MISSES, COLD_MISSES));
 
     // A warm rebuild on the same session proves nothing new.
     let mut warm_u = FamilyUniverse::with_session(u.session().clone());
-    families_stlc::build_lattice_parallel_with(&mut warm_u, 1).expect("warm lattice builds");
+    lattice::build(&mut warm_u, &Feature::all(), 1).expect("warm lattice builds");
     let warm = u.session().snapshot_stats();
     assert_eq!(
         (warm.misses - cold.misses, warm.inserts - cold.inserts),
@@ -79,9 +81,8 @@ fn dag_build_reproduces_cs1_and_the_session_series() {
     );
 
     // A served redefine answers with the same variants and field counts.
-    let (_, reply, _) =
-        families_stlc::recheck_lattice_subset_with(&u, &Feature::all(), "STLCFix", "typesafe", 1)
-            .expect("redefine rechecks");
+    let (_, reply, _) = lattice::redefine(&u, &Feature::all(), "STLCFix", "typesafe", 1)
+        .expect("redefine rechecks");
     let rows: Vec<(&str, usize)> = reply
         .rows
         .iter()
@@ -95,7 +96,7 @@ fn dag_build_reproduces_cs1_and_the_session_series() {
 fn replanning_shares_the_field_lists_of_unchanged_variants() {
     let feats = Feature::all();
     let mut u = FamilyUniverse::new();
-    families_stlc::build_lattice_parallel_with(&mut u, 1).expect("lattice builds");
+    lattice::build(&mut u, &feats, 1).expect("lattice builds");
     let resident = |name: &str| u.family(name).expect("variant is resident");
 
     // Nothing edited: every merge is the resident family's own list.
@@ -145,7 +146,6 @@ fn replanning_shares_the_field_lists_of_unchanged_variants() {
 fn retrofit_obligation_enforced() {
     // Composing µ with × without the tysubst retrofit case is a static
     // error (Figure 3 / C1).
-    use families_stlc::lattice::Feature;
     let mut u = FamilyUniverse::new();
     u.define(families_stlc::stlc_family()).unwrap();
     u.define(families_stlc::prod::stlc_prod_family()).unwrap();
@@ -170,7 +170,7 @@ fn value_irreducibility_across_the_lattice() {
     // every variant, with feature-added value forms handled by the
     // retroactive FInduction cases.
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_extended_lattice(&mut u).unwrap();
+    let report = lattice::build(&mut u, &Feature::all_extended(), default_workers()).unwrap();
     for row in &report.rows {
         let out = u.check(&row.name, "value_irred").unwrap();
         assert!(out.contains(&format!("{}.value_irred", row.name)), "{out}");

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use families_stlc::build_lattice_subset;
+use families_stlc::lattice;
 use fpop::universe::FamilyUniverse;
 use fpop::Session;
 use objlang::syntax::Term;
@@ -42,7 +42,8 @@ fn run_oracle() {
         let subset = gen_feature_subset(r);
         let feats = subset.normalized.clone();
         let mut u = FamilyUniverse::with_session(Arc::clone(&session));
-        build_lattice_subset(&mut u, &feats).expect("variant lattice builds");
+        lattice::build(&mut u, &feats, fpop::sched::default_workers())
+            .expect("variant lattice builds");
         let top = subset.top_variant();
         let sig = &u.family(&top).expect("top variant compiled").sig;
 

@@ -1,6 +1,7 @@
 //! The booleans extension (the Section 6.5 family, surface level) and the
 //! extended 31-variant lattice.
 
+use families_stlc::{lattice, Feature};
 use fpop::universe::FamilyUniverse;
 
 #[test]
@@ -17,7 +18,12 @@ fn stlc_bool_inherits_typesafe() {
 #[test]
 fn extended_lattice_31_variants() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_extended_lattice(&mut u).expect("extended lattice");
+    let report = lattice::build(
+        &mut u,
+        &Feature::all_extended(),
+        fpop::sched::default_workers(),
+    )
+    .expect("extended lattice");
     assert_eq!(report.rows.len(), 32); // base + 31 variants
     for row in &report.rows {
         assert!(

@@ -78,8 +78,8 @@ pub use session::{CacheTxn, ExportEntry, ExportMark, Session, StatsSnapshot, Txn
 pub use universe::FamilyUniverse;
 
 // Concurrency audit: compiled families cross thread boundaries in the
-// parallel lattice build, and the universe itself must be shareable by
-// reference with worker threads (`&FamilyUniverse` + `compile_detached`).
+// task-DAG lattice build, and the universe itself must be shareable by
+// reference with worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledFamily>();

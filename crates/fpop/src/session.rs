@@ -19,7 +19,7 @@
 //! * hits, misses and inserts are counted in the session's own metrics
 //!   registry ([`Session::registry`], read back as a [`StatsSnapshot`]),
 //!   making the Section 4 sharing claim *observable*: the
-//!   `mixin_lattice` bench and `EXPERIMENTS.md` report the series.
+//!   `check_session` example and `EXPERIMENTS.md` report the series.
 //!
 //! Writes go through a [`CacheTxn`]: a transaction that reads the shared
 //! store but buffers its own inserts, committing them atomically on

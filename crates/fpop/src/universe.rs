@@ -264,34 +264,13 @@ impl FamilyUniverse {
         Ok(self.families[&name].as_ref())
     }
 
-    /// Elaborates a family *without* mutating this universe: the module
-    /// structure goes into the caller's detached `env`, and the freshly
-    /// discharged proofs stay buffered in the returned transaction. This
-    /// is the worker half of the parallel lattice build: call it from any
-    /// thread (`&self`), then on the coordinating thread [`Self::adopt`]
-    /// the compiled family and `commit` the transaction.
-    pub fn compile_detached(
-        &self,
-        def: &FamilyDef,
-        env: &mut ModuleEnv,
-    ) -> Result<(CompiledFamily, crate::session::CacheTxn)> {
-        let merged = self.resolve(def)?;
-        let mut txn = self.session.begin();
-        let compiled = elaborate(&merged, &mut txn, env)?;
-        Ok((compiled, txn))
-    }
-
-    /// Registers a family compiled by [`Self::compile_detached`]. The
-    /// caller is responsible for shipping the detached environment's
-    /// module delta into `self.modenv` (see `ModuleEnv::delta_since` /
-    /// `apply_delta`) and committing the worker's transaction.
-    pub fn adopt(&mut self, compiled: CompiledFamily) -> Result<()> {
-        self.adopt_arc(Arc::new(compiled))
-    }
-
-    /// [`Self::adopt`] for a family already behind an `Arc` — the
-    /// incremental lattice build replays memoized variants by sharing the
-    /// memo's compiled family rather than deep-cloning it.
+    /// Registers a family compiled outside this universe and already
+    /// behind an `Arc` — the task-DAG lattice build elaborates each
+    /// variant in a detached world and commits it here in canonical order,
+    /// sharing the memo's compiled family rather than deep-cloning it.
+    /// The caller ships the detached environment's module delta into
+    /// `self.modenv` (see `ModuleEnv::delta_since` / `apply_delta`) and
+    /// commits the variant's proofs to the session.
     pub fn adopt_arc(&mut self, compiled: Arc<CompiledFamily>) -> Result<()> {
         if self.families.contains_key(&compiled.name) {
             return Err(Error::new(format!(

@@ -4,8 +4,8 @@
 //! for fields of a base family can be shared with derived families without
 //! having to be rechecked" (Section 4). The ledger makes that claim
 //! measurable: every module registration records a *check*; every reuse by
-//! a derived family records a *share*. The `modular_vs_copypaste` bench
-//! prints both series.
+//! a derived family records a *share*. `tests/paper_counts.rs` pins the
+//! resulting Section 7 counts (CS1-share) against the copy-paste foil.
 //!
 //! Since the check-session refactor the ledger also records the
 //! *cross-family* reuse channel — content-addressed proof-cache hits and

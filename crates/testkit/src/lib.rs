@@ -32,6 +32,10 @@
 //! * [`edit_gen`] — random edit scripts (touch / add-lemma /
 //!   remove-lemma over a sub-lattice, with shrinking), feeding oracle
 //!   #10: incremental recheck vs from-scratch rebuild.
+//! * [`lattice_ref`] — the sequential lattice reference (every variant
+//!   defined one by one in plan order) that the task-DAG builds are
+//!   compared against, and the one report-row comparator the oracles
+//!   share.
 //! * [`store_gen`] — random proof-cache stores ([`fpop::ExportEntry`]
 //!   vectors with arbitrary terms, props, tactics, and sequents) for
 //!   exercising the `FPOPSNAP` codec.
@@ -51,6 +55,7 @@
 pub mod edit_gen;
 pub mod family_gen;
 pub mod harness;
+pub mod lattice_ref;
 pub mod objfun_gen;
 pub mod rng;
 pub mod script_gen;

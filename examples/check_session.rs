@@ -2,39 +2,44 @@
 //! proof cache spanning every family elaboration in a run.
 //!
 //! Run with `cargo run --release --example check_session`. Prints:
-//! 1. the 31-variant extended lattice built sequentially vs in parallel
-//!    (wave fan-out over scoped threads), with the determinism cross-check;
+//! 1. the 31-variant extended lattice built on the task DAG with one
+//!    scheduler worker and with the default worker count, with the
+//!    determinism cross-check;
 //! 2. the session cache series (hits / misses / inserts);
 //! 3. a warm-session rebuild — a second universe re-deriving the whole
 //!    lattice with every proof served from the shared session.
 
 use std::time::Instant;
 
+use families_stlc::{lattice, Feature};
+use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
 use fpop::Session;
 
 fn main() {
-    // 1. Sequential vs parallel over the extended (31-variant) lattice.
+    // 1. One worker vs the default width over the extended (31-variant)
+    //    lattice.
+    let workers = default_workers();
     let t = Instant::now();
-    let mut seq_u = FamilyUniverse::new();
-    let seq = families_stlc::build_extended_lattice(&mut seq_u).unwrap();
-    let seq_time = t.elapsed();
+    let mut one_u = FamilyUniverse::new();
+    let one = lattice::build(&mut one_u, &Feature::all_extended(), 1).unwrap();
+    let one_time = t.elapsed();
 
     let t = Instant::now();
     let mut par_u = FamilyUniverse::new();
-    let par = families_stlc::build_extended_lattice_parallel(&mut par_u).unwrap();
+    let par = lattice::build(&mut par_u, &Feature::all_extended(), workers).unwrap();
     let par_time = t.elapsed();
 
-    assert_eq!(seq.rows.len(), par.rows.len());
+    assert_eq!(one.rows.len(), par.rows.len());
     assert!(
-        seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger),
-        "parallel build must be observationally identical"
+        one_u.modenv.ledger.same_counts(&par_u.modenv.ledger),
+        "the build must not depend on the worker count"
     );
     println!("== extended lattice: {} variants ==", par.rows.len() - 1);
     println!("{}", par.to_table());
     println!(
-        "sequential {seq_time:.2?}  |  parallel {par_time:.2?}  (speedup {:.2}x, ledgers identical)",
-        seq_time.as_secs_f64() / par_time.as_secs_f64()
+        "1 worker {one_time:.2?}  |  {workers} workers {par_time:.2?}  (speedup {:.2}x, ledgers identical)",
+        one_time.as_secs_f64() / par_time.as_secs_f64()
     );
 
     // 2. The session cache series behind the parallel build.
@@ -52,13 +57,13 @@ fn main() {
     let session = Session::new();
     let t = Instant::now();
     let mut first = FamilyUniverse::with_session(session.clone());
-    families_stlc::build_lattice(&mut first).unwrap();
+    lattice::build(&mut first, &Feature::all(), workers).unwrap();
     let cold_time = t.elapsed();
     let cold = session.snapshot_stats();
 
     let t = Instant::now();
     let mut second = FamilyUniverse::with_session(session.clone());
-    families_stlc::build_lattice(&mut second).unwrap();
+    lattice::build(&mut second, &Feature::all(), workers).unwrap();
     let warm_time = t.elapsed();
     let warm = session.snapshot_stats();
 

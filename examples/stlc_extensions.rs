@@ -4,14 +4,17 @@
 //! Figure 3 retrofit obligation (`tysubst` must cover `ty_prod`/`ty_sum`
 //! whenever µ meets × or +).
 //!
-//! Run with: `cargo run --example stlc_extensions`
+//! Run with: `cargo run --release --example stlc_extensions`
 
+use families_stlc::{lattice, Feature};
+use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
 
 fn main() {
     let mut universe = FamilyUniverse::new();
     let t = std::time::Instant::now();
-    let report = families_stlc::build_lattice(&mut universe).expect("lattice must compile");
+    let report = lattice::build(&mut universe, &Feature::all(), default_workers())
+        .expect("lattice must compile");
     println!(
         "Built the full composition lattice ({} variants) in {:.2?}:\n",
         report.rows.len(),
@@ -33,7 +36,8 @@ fn main() {
     // feature — 31 variants.
     let mut u2 = FamilyUniverse::new();
     let t2 = std::time::Instant::now();
-    let ext = families_stlc::build_extended_lattice(&mut u2).expect("extended lattice");
+    let ext = lattice::build(&mut u2, &Feature::all_extended(), default_workers())
+        .expect("extended lattice");
     println!(
         "Extended lattice with STLCBool (5 features, {} variants) in {:.2?}; all type-safe.\n",
         ext.rows.len() - 1,

@@ -160,7 +160,7 @@ fn weakening_out_of_range_rejected() {
 /// controls beside each refusal pin that the licence itself works, so a
 /// failure here means the tactic's shape check regressed, not the lattice.
 mod family_tactics {
-    use families_stlc::{build_lattice_subset, Feature};
+    use families_stlc::{lattice, Feature};
     use fpop::universe::FamilyUniverse;
     use objlang::sig::Signature;
     use objlang::syntax::{Prop, Term};
@@ -169,8 +169,8 @@ mod family_tactics {
     /// The closed signatures of three single-feature variants.
     fn variant_sigs() -> Vec<(&'static str, Signature)> {
         let mut u = FamilyUniverse::new();
-        build_lattice_subset(&mut u, &[Feature::Prod, Feature::Sum, Feature::Bool])
-            .expect("lattice builds");
+        let features = [Feature::Prod, Feature::Sum, Feature::Bool];
+        lattice::build(&mut u, &features, fpop::sched::default_workers()).expect("lattice builds");
         ["STLCProd", "STLCSum", "STLCBool"]
             .into_iter()
             .map(|n| (n, (*u.family(n).expect("variant compiled").sig).clone()))

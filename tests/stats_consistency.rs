@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 
-use families_stlc::{build_lattice, build_lattice_subset, Feature};
+use families_stlc::{lattice, Feature};
+use fpop::sched::default_workers;
 use fpop::{FamilyUniverse, Session};
 use modsys::CheckLedger;
 
@@ -22,7 +23,7 @@ fn summed_ledger(u: &FamilyUniverse) -> CheckLedger {
 fn snapshot_agrees_with_summed_ledgers_on_full_lattice() {
     let session = Session::new();
     let mut u = FamilyUniverse::with_session(Arc::clone(&session));
-    build_lattice(&mut u).expect("lattice builds");
+    lattice::build(&mut u, &Feature::all(), default_workers()).expect("lattice builds");
 
     let snapshot = session.snapshot_stats();
     let combined = summed_ledger(&u);
@@ -37,7 +38,7 @@ fn snapshot_agrees_with_summed_ledgers_on_full_lattice() {
         combined.cache_misses() as u64,
         "session miss counter == Σ per-family ledger misses"
     );
-    // Sequential build: every store insert is a distinct proof, so the
+    // One build commits each proof once, in canonical order, so the
     // insert counter equals the store size.
     assert_eq!(snapshot.inserts, snapshot.cached_proofs);
     assert!(snapshot.hits > 0 && snapshot.misses > 0);
@@ -48,7 +49,7 @@ fn snapshot_tracks_incremental_builds() {
     let session = Session::new();
 
     let mut u1 = FamilyUniverse::with_session(Arc::clone(&session));
-    build_lattice_subset(&mut u1, &[Feature::Fix, Feature::Prod]).unwrap();
+    lattice::build(&mut u1, &[Feature::Fix, Feature::Prod], default_workers()).unwrap();
     let after_first = session.snapshot_stats();
     let combined_first = summed_ledger(&u1);
     assert_eq!(after_first.hits, combined_first.cache_hits() as u64);
@@ -57,7 +58,7 @@ fn snapshot_tracks_incremental_builds() {
     // A second universe over the same session: the session counters keep
     // accumulating, and the deltas match the new universe's ledger sums.
     let mut u2 = FamilyUniverse::with_session(Arc::clone(&session));
-    build_lattice_subset(&mut u2, &[Feature::Fix, Feature::Prod]).unwrap();
+    lattice::build(&mut u2, &[Feature::Fix, Feature::Prod], default_workers()).unwrap();
     let after_second = session.snapshot_stats();
     let combined_second = summed_ledger(&u2);
 
