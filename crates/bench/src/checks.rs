@@ -46,7 +46,8 @@ pub fn run(b: &mut Bencher) {
 
     b.bench("lattice/build_cold_parallel", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = lattice::build(&mut u, &Feature::all(), fpop::sched::default_workers()).unwrap();
+        let plan = lattice::Plan::new(&Feature::all()).unwrap();
+        let rep = lattice::build(&mut u, &plan, fpop::sched::default_workers()).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
@@ -59,7 +60,8 @@ pub fn run(b: &mut Bencher) {
     // satellite work moves.
     b.bench("lattice/build_cold_1w", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = lattice::build(&mut u, &Feature::all(), 1).unwrap();
+        let plan = lattice::Plan::new(&Feature::all()).unwrap();
+        let rep = lattice::build(&mut u, &plan, 1).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
@@ -73,7 +75,8 @@ pub fn run(b: &mut Bencher) {
         let name = format!("lattice/build_cold_parallel_{workers}w");
         b.bench(&name, n_variants as f64, || {
             let mut u = FamilyUniverse::new();
-            let rep = lattice::build(&mut u, &Feature::all(), workers).unwrap();
+            let plan = lattice::Plan::new(&Feature::all()).unwrap();
+            let rep = lattice::build(&mut u, &plan, workers).unwrap();
             assert_eq!(rep.rows.len(), n_variants);
             rep.rows.len()
         });

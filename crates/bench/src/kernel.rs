@@ -197,9 +197,9 @@ pub fn run(b: &mut Bencher) {
 ///   variant defined in plan order). The session's proof cache is warm (the
 ///   obligations all hit), so this isolates elaboration itself, which is
 ///   exactly what the fingerprint memo avoids.
-/// * `lattice/recheck_one_field` — the `redefine` verb: one variant is
-///   forced dirty, its dependency cone is served by early cutoff, and
-///   independent variants replay.
+/// * `lattice/recheck_one_field` — the `redefine` verb on the cold
+///   build's plan: one variant is forced dirty, its dependency cone is
+///   served by early cutoff, and independent variants replay.
 /// * `lattice/recheck_noop` — resubmitting the unchanged lattice: zero
 ///   dirty variants, every row replays from the memo. The floor of the
 ///   series — pure fingerprinting + replay cost.
@@ -216,12 +216,15 @@ fn recheck_series(b: &mut Bencher) {
     eprintln!("\n== kernel: incremental recheck (fingerprint early cutoff) ==");
     let feats = Feature::all();
 
-    // One cold incremental build warms both caches the series leans on:
-    // the session proof cache and the elaboration memo.
-    let (warm, cold_report, _) =
-        lattice::rebuild(&FamilyUniverse::new(), &feats, subset_defs(&feats), &[], 1)
-            .expect("cold lattice build");
-    let rows = cold_report.rows.len();
+    // One cold build warms both caches the series leans on: the session
+    // proof cache and the elaboration memo. Its plan is the one the
+    // served redefine keeps.
+    let plan = lattice::Plan::new(&feats).expect("lattice plans");
+    let mut warm = FamilyUniverse::new();
+    let rows = lattice::build(&mut warm, &plan, 1)
+        .expect("cold lattice build")
+        .rows
+        .len();
 
     b.bench("lattice/full_rebuild_warm", rows as f64, || {
         let mut u = FamilyUniverse::with_session(warm.session().clone());
@@ -232,7 +235,8 @@ fn recheck_series(b: &mut Bencher) {
 
     b.bench("lattice/recheck_one_field", rows as f64, || {
         let (_, rep, outcome) =
-            lattice::redefine(&warm, &feats, "STLCFix", "step_fix_inv", 1).expect("recheck");
+            lattice::redefine(warm.session(), &plan, "STLCFix", "step_fix_inv", 1)
+                .expect("recheck");
         assert_eq!(outcome.dirty, 1, "exactly the touched variant re-runs");
         rep.rows.len()
     });

@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use families_stlc::lattice;
+use families_stlc::lattice::{self, Plan};
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
 use objlang::sig::Signature;
@@ -173,7 +173,7 @@ struct Instruments {
     uptime_micros: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     cached_proofs: Arc<Gauge>,
-    resident_universes: Arc<Gauge>,
+    resident_plans: Arc<Gauge>,
     registered_families: Arc<Gauge>,
     /// Queue wait (admission → dequeue), microseconds.
     wait_micros: Arc<Histogram>,
@@ -263,9 +263,9 @@ impl Instruments {
                 "fpop_session_cached_proofs",
                 "proofs resident in the shared store right now",
             ),
-            resident_universes: reg.gauge(
-                "engine_resident_universes",
-                "lattice universes kept resident for Redefine (0 or 1)",
+            resident_plans: reg.gauge(
+                "engine_resident_plans",
+                "lattice plans kept resident for Redefine (0 or 1)",
             ),
             registered_families: reg.gauge(
                 "engine_registered_families",
@@ -474,6 +474,11 @@ struct Template {
 /// One family in the engine's registry: what `Eval` evaluates under and
 /// what `QueryTheorem` answers, both from the same compilation.
 struct Registered {
+    /// The compiled family's source digest
+    /// ([`fpop::elab::CompiledFamily::src_digest`]): a later compilation
+    /// with the same digest compiled the same merged source, so it
+    /// registers nothing new.
+    src_digest: u64,
     /// The compiled family's closed signature, shared with the universe
     /// it came from (see [`fpop::elab::CompiledFamily::sig`]).
     sig: Arc<Signature>,
@@ -487,20 +492,17 @@ struct Shared {
     queue: PrioQueue<Job>,
     inflight: Mutex<HashMap<u64, Arc<JobState>>>,
     metrics: Instruments,
-    /// The last lattice universe any `BuildLattice` or successful
-    /// `Redefine` built, as an immutable snapshot; `Redefine` replans
-    /// against it. One built for another feature set serves too: a variant
-    /// skips the re-merge only when its definition digest and ancestors
-    /// match their compiled predecessors, so the variants that differ
-    /// merge afresh, as they would against an empty universe.
-    resident: Mutex<Option<Arc<FamilyUniverse>>>,
+    /// The plan of the feature set the last `BuildLattice` or successful
+    /// `Redefine` built: the one a `BuildLattice` compiled from, so its
+    /// merges are the compiled families' own field lists. A `Redefine` of
+    /// that feature set runs on it as it is; one of another feature set
+    /// plans that set and replaces it.
+    resident: Mutex<Option<Arc<Plan>>>,
     /// Every family any request has elaborated, by name; the last
     /// request to register a name wins.
     families: Mutex<HashMap<String, Registered>>,
     /// Registered templates, keyed by content digest (see [`Template`]).
     templates: Mutex<HashMap<u64, Template>>,
-    /// Cumulative ledger absorbed over every request this engine served.
-    ledger: Mutex<CheckLedger>,
     /// Slow-elaboration log: top-N served requests by service time among
     /// those reaching the threshold, slowest first.
     slow: Mutex<Vec<SlowEntry>>,
@@ -520,11 +522,11 @@ struct Shared {
 
 impl Shared {
     /// Records a finished universe: absorbs its per-family ledgers into a
-    /// combined ledger (returned), registers its families, and folds the
-    /// combined ledger into the engine-lifetime ledger. A family whose
-    /// signature is the registered one (a replayed or cut-off variant)
-    /// is already registered and costs one pointer compare; every other
-    /// family is (re-)registered with freshly rendered theorems.
+    /// combined ledger (returned) and registers its families. A family
+    /// whose source digest is the registered one (a replayed, cut-off or
+    /// re-proved lattice variant, or a warm re-check of the same program)
+    /// compiled the same source and costs one compare; every other family
+    /// is (re-)registered with freshly rendered theorems.
     fn absorb_universe(&self, u: &FamilyUniverse) -> CheckLedger {
         let mut combined = CheckLedger::new();
         let mut families = self.families.lock().expect("family registry poisoned");
@@ -535,7 +537,7 @@ impl Shared {
             combined.absorb(&fam.ledger);
             if families
                 .get(name.as_str())
-                .is_some_and(|r| Arc::ptr_eq(&r.sig, &fam.sig))
+                .is_some_and(|r| r.src_digest == fam.src_digest)
             {
                 continue;
             }
@@ -551,22 +553,18 @@ impl Shared {
             families.insert(
                 name.as_str().to_string(),
                 Registered {
+                    src_digest: fam.src_digest,
                     sig: Arc::clone(&fam.sig),
                     theorems,
                 },
             );
         }
-        drop(families);
-        self.ledger
-            .lock()
-            .expect("engine ledger poisoned")
-            .absorb(&combined);
         combined
     }
 
-    /// Makes `u` the resident universe `Redefine` replans against.
-    fn make_resident(&self, u: FamilyUniverse) {
-        *self.resident.lock().expect("resident universe poisoned") = Some(Arc::new(u));
+    /// Makes `plan` the resident plan `Redefine` runs on.
+    fn make_resident(&self, plan: Arc<Plan>) {
+        *self.resident.lock().expect("resident plan poisoned") = Some(plan);
     }
 
     fn execute(&self, request: Request) -> JobResult {
@@ -586,16 +584,17 @@ impl Shared {
                 Ok(Response::Checked { outputs, ledger })
             }
             Request::BuildLattice { features } => {
+                let plan = Plan::new(&features).map_err(|e| EngineError::Failed(e.to_string()))?;
                 let mut u = FamilyUniverse::with_session(Arc::clone(&self.session));
                 // Field-level task DAG: a single cold batch elaborates
                 // across the scheduler's workers instead of pinning one
                 // queue worker (same verdicts, ledgers, and session
                 // contents as the sequential reference — see the parallel
                 // differential oracle).
-                let report = lattice::build(&mut u, &features, self.sched_workers)
+                let report = lattice::build(&mut u, &plan, self.sched_workers)
                     .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
-                self.make_resident(u);
+                self.make_resident(Arc::new(plan));
                 Ok(Response::Lattice { report, ledger })
             }
             Request::Redefine {
@@ -603,28 +602,31 @@ impl Shared {
                 field,
                 features,
             } => {
-                // Incremental recheck against the resident universe: every
-                // definition whose digest and ancestor chain match its
-                // compiled predecessor replans without re-merging, the
-                // session's elaboration memo replays every variant whose
-                // fingerprint chain is clean, and only the dirty cone
-                // rooted at `family` is re-proved. Before any lattice is
-                // built the replan starts from an empty universe and
-                // merges every variant. The touched field is validated
-                // against the merged (inherited) view before any work runs.
+                // Incremental recheck on the resident plan: the session's
+                // elaboration memo replays every variant whose fingerprint
+                // chain is clean, and only the dirty cone rooted at
+                // `family` is re-proved, from the plan's own merges. A
+                // request for another feature set (or before any lattice
+                // was built) plans that set first and keeps its plan
+                // instead. The touched family and field are validated
+                // against the plan before any proof work runs.
                 let resident = self
                     .resident
                     .lock()
-                    .expect("resident universe poisoned")
-                    .clone();
-                let prev = resident.unwrap_or_else(|| {
-                    Arc::new(FamilyUniverse::with_session(Arc::clone(&self.session)))
-                });
+                    .expect("resident plan poisoned")
+                    .clone()
+                    .filter(|p| p.features() == lattice::normalize_features(&features));
+                let plan = match resident {
+                    Some(plan) => plan,
+                    None => Arc::new(
+                        Plan::new(&features).map_err(|e| EngineError::Failed(e.to_string()))?,
+                    ),
+                };
                 let (u, report, _outcome) =
-                    lattice::redefine(&prev, &features, &family, &field, self.sched_workers)
+                    lattice::redefine(&self.session, &plan, &family, &field, self.sched_workers)
                         .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
-                self.make_resident(u);
+                self.make_resident(plan);
                 Ok(Response::Lattice { report, ledger })
             }
             Request::QueryTheorem { family, field } => {
@@ -767,9 +769,9 @@ impl Shared {
         let resident = self
             .resident
             .lock()
-            .expect("resident universe poisoned")
+            .expect("resident plan poisoned")
             .is_some();
-        m.resident_universes.set(i64::from(resident));
+        m.resident_plans.set(i64::from(resident));
         let families = self
             .families
             .lock()
@@ -996,7 +998,6 @@ impl Engine {
             resident: Mutex::new(None),
             families: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
-            ledger: Mutex::new(CheckLedger::new()),
             slow: Mutex::new(Vec::new()),
             slow_threshold: config.slow_threshold,
             slow_capacity: config.slow_log_capacity,
@@ -1081,15 +1082,6 @@ impl Engine {
     /// `docs/OBSERVABILITY.md` for every metric's meaning and unit.
     pub fn prometheus(&self) -> String {
         self.shared.prometheus()
-    }
-
-    /// Copy of the cumulative ledger absorbed over every served request.
-    pub fn lifetime_ledger(&self) -> CheckLedger {
-        self.shared
-            .ledger
-            .lock()
-            .expect("engine ledger poisoned")
-            .clone()
     }
 
     /// Submits a request with explicit priority and (optional) deadline
@@ -1687,6 +1679,39 @@ mod tests {
         // Registered after completion: runs inline.
         t.on_done(move || tx.send("late").unwrap());
         assert_eq!(rx.try_recv().unwrap(), "late");
+        e.shutdown().unwrap();
+    }
+
+    /// The registry keys a family by its source digest: a `Redefine`
+    /// re-proves `STLCFix` from the same merged source, so the family
+    /// the lattice build registered stays registered, signature `Arc`
+    /// and all, and nothing is rendered again.
+    #[test]
+    fn a_redefine_keeps_the_registered_signature_of_an_unchanged_source() {
+        let e = Engine::start(EngineConfig {
+            workers: 1,
+            snapshot_path: None,
+            ..EngineConfig::default()
+        });
+        let sig = |e: &Engine| {
+            let families = e.shared.families.lock().unwrap();
+            Arc::clone(&families["STLCFix"].sig)
+        };
+        let features = families_stlc::Feature::all().to_vec();
+        e.run(Request::BuildLattice {
+            features: features.clone(),
+        })
+        .unwrap();
+        let built = sig(&e);
+        let reply = e
+            .run(Request::Redefine {
+                family: "STLCFix".into(),
+                field: "typesafe".into(),
+                features,
+            })
+            .unwrap();
+        assert!(matches!(reply, Response::Lattice { .. }));
+        assert!(Arc::ptr_eq(&built, &sig(&e)));
         e.shutdown().unwrap();
     }
 

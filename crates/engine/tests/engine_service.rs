@@ -437,7 +437,7 @@ End NatAdd.
 }
 
 // ---------------------------------------------------------------------------
-// Resident lattice universes and the family registry.
+// The resident lattice plan and the family registry.
 // ---------------------------------------------------------------------------
 
 /// A term every lattice variant evaluates (`subst` is a base field).
@@ -501,10 +501,11 @@ fn lattice_shape(rep: &LatticeReport) -> Vec<(String, usize, usize, usize, usize
         .collect()
 }
 
-/// A `Redefine` replans against whatever universe is resident, and must
-/// answer alike whichever that is: the same feature set's (`same` built
-/// `{Fix, Prod}`), another feature set's (`other` built the full
-/// lattice), or none (`cold` never built a lattice).
+/// A `Redefine` must answer alike whichever plan is resident: the same
+/// feature set's (`same` built `{Fix, Prod}`, and its redefine runs on
+/// that plan), another feature set's (`other` built the full lattice, so
+/// its redefine plans `{Fix, Prod}` afresh), or none (`cold` never built
+/// a lattice).
 #[test]
 fn redefine_answers_alike_whatever_universe_is_resident() {
     let feats = vec![Feature::Fix, Feature::Prod];
@@ -516,7 +517,7 @@ fn redefine_answers_alike_whatever_universe_is_resident() {
     let other = Engine::start(no_snapshot(1));
     other.run(Request::lattice_full()).unwrap();
     let cold = Engine::start(no_snapshot(1));
-    assert_eq!(gauge(&cold, "engine_resident_universes"), 0);
+    assert_eq!(gauge(&cold, "engine_resident_plans"), 0);
 
     let request = Request::Redefine {
         family: "STLCFix".into(),
@@ -554,24 +555,23 @@ fn redefine_answers_alike_whatever_universe_is_resident() {
                 eval(&same, n, SUBST_TERM).unwrap()
             );
         }
-        assert_eq!(gauge(e, "engine_resident_universes"), 1);
+        assert_eq!(gauge(e, "engine_resident_plans"), 1);
     }
     for e in [same, other, cold] {
         e.shutdown().unwrap();
     }
 }
 
-/// The resident universe is the last lattice built, whatever its feature
-/// set. After a `{Fix, Prod}` `Redefine` replaces the full lattice's
-/// universe, a full `Redefine` finds twelve variants with no predecessor
-/// there; it merges those afresh and answers as it does against the full
-/// lattice's universe, re-proving only the touched variant.
+/// The resident plan is the last feature set built, whichever it is.
+/// After a `{Fix, Prod}` `Redefine` replaces the full lattice's plan, a
+/// full `Redefine` plans the full lattice afresh and answers as it does
+/// on the full lattice's own plan, re-proving only the touched variant.
 #[test]
-fn a_full_redefine_replans_against_a_smaller_resident_universe() {
+fn a_full_redefine_plans_afresh_after_a_smaller_resident_plan() {
     let smaller = Engine::start(no_snapshot(1));
     let full = Engine::start(no_snapshot(1));
     // The same edit on both, so both memos hold the same history; only
-    // `smaller` is left with a `{Fix, Prod}` universe resident.
+    // `smaller` is left with a `{Fix, Prod}` plan resident.
     for (e, features) in [
         (&smaller, vec![Feature::Fix, Feature::Prod]),
         (&full, Feature::all().to_vec()),
@@ -607,7 +607,7 @@ fn a_full_redefine_replans_against_a_smaller_resident_universe() {
             );
         }
     }
-    assert_eq!(gauge(&smaller, "engine_resident_universes"), 1);
+    assert_eq!(gauge(&smaller, "engine_resident_plans"), 1);
     assert_eq!(gauge(&smaller, "engine_registered_families"), 16);
     for e in [smaller, full] {
         e.shutdown().unwrap();

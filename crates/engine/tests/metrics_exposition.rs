@@ -196,19 +196,19 @@ fn engines_in_one_process_report_only_their_own_work() {
 }
 
 /// The resident-state gauges: one full `BuildLattice` leaves one lattice
-/// universe resident and registers its 16 variants; rebuilding replaces
-/// the universe and re-registers the same names.
+/// plan resident and registers its 16 variants; rebuilding replaces the
+/// plan and keeps the same names registered.
 #[test]
-fn resident_universes_and_registered_families_are_gauged() {
+fn resident_plans_and_registered_families_are_gauged() {
     let e = Engine::start(config(1));
     let text = e.prometheus();
-    assert_eq!(sample(&text, "engine_resident_universes"), 0);
+    assert_eq!(sample(&text, "engine_resident_plans"), 0);
     assert_eq!(sample(&text, "engine_registered_families"), 0);
     for _ in 0..2 {
         e.run(Request::lattice_full()).expect("lattice builds");
         let text = e.prometheus();
-        assert!(text.contains("# TYPE engine_resident_universes gauge"));
-        assert_eq!(sample(&text, "engine_resident_universes"), 1);
+        assert!(text.contains("# TYPE engine_resident_plans gauge"));
+        assert_eq!(sample(&text, "engine_resident_plans"), 1);
         assert_eq!(sample(&text, "engine_registered_families"), 16);
     }
     e.shutdown().unwrap();

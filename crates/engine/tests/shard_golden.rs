@@ -25,12 +25,9 @@ use fpop::universe::FamilyUniverse;
 /// a session with the given shard count and export its entries.
 fn build_and_export(shards: usize) -> Vec<ExportEntry> {
     let mut u = FamilyUniverse::with_session(Session::with_shards(shards));
-    lattice::build(
-        &mut u,
-        &[Feature::Fix, Feature::Prod],
-        fpop::sched::default_workers(),
-    )
-    .unwrap_or_else(|e| panic!("lattice build on {shards}-shard session failed: {e:?}"));
+    let plan = lattice::Plan::new(&[Feature::Fix, Feature::Prod]).unwrap();
+    lattice::build(&mut u, &plan, fpop::sched::default_workers())
+        .unwrap_or_else(|e| panic!("lattice build on {shards}-shard session failed: {e:?}"));
     u.session().export()
 }
 

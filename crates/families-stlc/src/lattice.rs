@@ -13,15 +13,18 @@
 //!
 //! [`subset_plan`] lists the variants of the sub-lattice spanned by a
 //! feature set in canonical order (`Feature::all()` is the Venn diagram,
-//! `Feature::all_extended()` the 31-variant extension). Three entry
-//! points build it, each with an explicit worker count (pass
+//! `Feature::all_extended()` the 31-variant extension); a [`Plan`] holds
+//! those rows together with their merges. Three entry points build it,
+//! each with an explicit worker count (pass
 //! [`fpop::sched::default_workers`] for the automatic width):
 //!
-//! * [`build`] — a cold build into a universe;
+//! * [`build`] — a cold build of a plan into a universe;
 //! * [`rebuild`] — an edited definition list against a previous universe,
 //!   re-proving only the fingerprint-dirty cone;
 //! * [`redefine`] — the engine's `redefine <family> <field>`: one variant
-//!   touched, validated before any work runs.
+//!   of a plan touched, validated before any work runs. It reuses the
+//!   plan's merges as they are, so a redefine pays for its delta and not
+//!   for planning the lattice again.
 //!
 //! All three run the same [`fpop::sched::TaskDag`]: every field of every
 //! variant is a node, with chain edges inside each variant (fields check
@@ -46,7 +49,7 @@ use fpop::family::FamilyDef;
 use fpop::incr::{self, IncrOutcome};
 use fpop::merge::MergedFamily;
 use fpop::sched::{SchedError, TaskDag};
-use fpop::session::CacheTxn;
+use fpop::session::{CacheTxn, Session};
 use fpop::universe::FamilyUniverse;
 use modsys::{CheckLedger, ModuleEnv};
 use objlang::error::{Error, Result};
@@ -303,6 +306,50 @@ pub fn subset_plan(features: &[Feature]) -> Vec<PlanEntry> {
     plan
 }
 
+/// The build plan of one feature set: its normalized features, the
+/// [`subset_plan`] rows, and each row's merge. The merges depend on the
+/// definitions alone, so a plan outlives the universe built from it: a
+/// [`build`] compiles every variant from the plan's merges (the compiled
+/// families share their field lists), and a later [`redefine`] on the
+/// same plan re-runs its touched variant from those very merges, with no
+/// replanning. The engine keeps the plan of the feature set it last built
+/// or redefined.
+pub struct Plan {
+    features: Vec<Feature>,
+    rows: Vec<PlanEntry>,
+    merges: Vec<MergedFamily>,
+}
+
+impl Plan {
+    /// Plans the sub-lattice spanned by `features`: its rows in
+    /// [`subset_plan`] order, each merged against the rows before it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a merge failure (none are expected; the lattice is the
+    /// Section 7 case-study payload).
+    pub fn new(features: &[Feature]) -> Result<Plan> {
+        let features = normalize_features(features);
+        let rows = subset_plan(&features);
+        let merges = fpop::universe::plan_detached(rows.iter().map(|p| &p.def))?;
+        Ok(Plan {
+            features,
+            rows,
+            merges,
+        })
+    }
+
+    /// The planned feature set, normalized.
+    pub fn features(&self) -> &[Feature] {
+        &self.features
+    }
+
+    /// Each row's merge, in row order.
+    pub fn merges(&self) -> &[MergedFamily] {
+        &self.merges
+    }
+}
+
 /// What a DAG node does for its variant: check the next field, or close
 /// the family and extract the commit payload.
 enum NodeKind {
@@ -390,8 +437,8 @@ enum MemoMode {
 /// bit-for-bit equal to a from-scratch build's.
 fn build_dag(
     u: &mut FamilyUniverse,
-    plan: Vec<PlanEntry>,
-    merged: Vec<MergedFamily>,
+    plan: &[PlanEntry],
+    merged: &[MergedFamily],
     mode: MemoMode,
     workers: usize,
 ) -> Result<(LatticeReport, IncrOutcome)> {
@@ -642,24 +689,27 @@ fn build_dag(
     Ok((report, outcome))
 }
 
-/// Cold build of the sub-lattice spanned by `features` into `u`, on
-/// `workers` scheduler threads. Every elaboration is recorded in the
-/// session's elaboration memo (so later [`rebuild`]s and [`redefine`]s can
-/// replay it) but none is served from it. Returns one row per variant, in
-/// [`subset_plan`] order.
+/// Cold build of `plan`'s sub-lattice into `u`, on `workers` scheduler
+/// threads. Every variant compiles from the plan's merge, and every
+/// elaboration is recorded in the session's elaboration memo (so later
+/// [`rebuild`]s and [`redefine`]s can replay it) but none is served from
+/// it. Returns one row per variant, in [`subset_plan`] order.
 ///
 /// # Errors
 ///
-/// Propagates any elaboration failure (none are expected; the lattice is
-/// the Section 7 case-study payload).
-pub fn build(
-    u: &mut FamilyUniverse,
-    features: &[Feature],
-    workers: usize,
-) -> Result<LatticeReport> {
-    let plan = subset_plan(features);
-    let merged = u.plan(plan.iter().map(|p| &p.def))?;
-    Ok(build_dag(u, plan, merged, MemoMode::Record, workers)?.0)
+/// Rejects, before any work runs, a plan naming a family `u` already
+/// holds; propagates any elaboration failure (none are expected; the
+/// lattice is the Section 7 case-study payload).
+pub fn build(u: &mut FamilyUniverse, plan: &Plan, workers: usize) -> Result<LatticeReport> {
+    if let Some(m) = plan
+        .merges
+        .iter()
+        .find(|m| u.family(m.name.as_str()).is_some())
+    {
+        return Err(Error::new(format!("family {} is already defined", m.name))
+            .with_context(format!("planning family {}", m.name)));
+    }
+    Ok(build_dag(u, &plan.rows, &plan.merges, MemoMode::Record, workers)?.0)
 }
 
 /// The sub-lattice vernacular in canonical plan order — the definition
@@ -737,16 +787,16 @@ pub fn rebuild(
         check_variant(&plan, features, name)?;
     }
     let merged = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    incr_build(prev, plan, merged, touch, workers)
+    incr_build(prev.session(), &plan, &merged, touch, workers)
 }
 
 /// Shared tail of [`rebuild`] and [`redefine`]: seeds the forced set from
-/// `touch` and runs the consult-mode DAG build over an already replanned
-/// lattice on `prev`'s session.
+/// `touch` and runs the consult-mode DAG build over merged rows on
+/// `session`, into a fresh universe.
 fn incr_build(
-    prev: &FamilyUniverse,
-    plan: Vec<PlanEntry>,
-    merged: Vec<MergedFamily>,
+    session: &Arc<Session>,
+    plan: &[PlanEntry],
+    merged: &[MergedFamily],
     touch: &[&str],
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
@@ -754,33 +804,35 @@ fn incr_build(
         .iter()
         .map(|p| touch.contains(&p.def.name.as_str()))
         .collect();
-    let mut next = FamilyUniverse::with_session(prev.session().clone());
+    let mut next = FamilyUniverse::with_session(Arc::clone(session));
     let (report, outcome) = build_dag(&mut next, plan, merged, MemoMode::Consult(forced), workers)?;
     Ok((next, report, outcome))
 }
 
 /// `redefine <family> <field>` — the engine's recheck entry point.
-/// Re-proves `family` (whose source is unchanged — a *touch*) and lets
-/// every dependent variant be served by early cutoff; independent
-/// variants replay outright. Validates that `family` is a variant of the
-/// sub-lattice and that `field` exists in its merged view (inherited
-/// fields are redefinable too) before any proof work runs.
+/// Re-proves `family` (whose source is unchanged — a *touch*) from the
+/// plan's own merge and lets every dependent variant be served by early
+/// cutoff; independent variants replay outright. The session's
+/// elaboration memo is the only state it reads: no universe, no replan.
+/// Validates that `family` is a variant of the plan and that `field`
+/// exists in its merged view (inherited fields are redefinable too)
+/// before any work runs. Returns the freshly built universe (on
+/// `session`), the report, and the per-variant [`IncrOutcome`] tally.
 ///
 /// # Errors
 ///
 /// Rejects an unknown variant or field; propagates any elaboration
 /// failure.
 pub fn redefine(
-    prev: &FamilyUniverse,
-    features: &[Feature],
+    session: &Arc<Session>,
+    plan: &Plan,
     family: &str,
     field: &str,
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
-    let plan = subset_plan(features);
-    check_variant(&plan, features, family)?;
-    let merged = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    let m = merged
+    check_variant(&plan.rows, &plan.features, family)?;
+    let m = plan
+        .merges
         .iter()
         .find(|m| m.name.as_str() == family)
         .expect("name validated above");
@@ -789,7 +841,7 @@ pub fn redefine(
             "redefine: family {family} has no field {field}"
         )));
     }
-    incr_build(prev, plan, merged, &[family], workers)
+    incr_build(session, &plan.rows, &plan.merges, &[family], workers)
 }
 
 #[cfg(test)]
@@ -865,7 +917,7 @@ mod tests {
     fn noop_rebuild_replays_everything() {
         let feats = [Feature::Fix, Feature::Prod];
         let mut u = FamilyUniverse::new();
-        let warm = build(&mut u, &feats, 1).unwrap();
+        let warm = build(&mut u, &Plan::new(&feats).unwrap(), 1).unwrap();
         let (next, report, outcome) = rebuild(&u, &feats, subset_defs(&feats), &[], 1).unwrap();
         assert_eq!(outcome.dirty, 0);
         assert_eq!(outcome.cutoff, 0);
@@ -880,30 +932,70 @@ mod tests {
         assert!(next.family("STLCFixProd").is_some());
     }
 
-    #[test]
-    fn dag_build_compiles_each_merge_without_copying_it() {
-        let mut u = FamilyUniverse::new();
-        let plan = subset_plan(&Feature::all());
-        let merged = u.plan(plan.iter().map(|p| &p.def)).unwrap();
-        build_dag(&mut u, plan, merged.clone(), MemoMode::Record, 1).unwrap();
-        assert_eq!(merged.len(), 16);
-        for m in &merged {
+    /// Every family of `u` compiled from the plan's merge of its name:
+    /// it shares the merge's field list and name set, so nothing was
+    /// merged again.
+    fn compiled_from(plan: &Plan, u: &FamilyUniverse) {
+        assert_eq!(u.names().len(), plan.merges().len());
+        for m in plan.merges() {
             let c = u.family(m.name.as_str()).unwrap();
             assert!(Arc::ptr_eq(&m.fields, &c.fields), "{}", m.name);
             assert!(Arc::ptr_eq(&m.extended_names, &c.extended_names));
+            assert_eq!(c.src_digest, m.src_digest, "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn dag_build_compiles_each_merge_without_copying_it() {
+        let mut u = FamilyUniverse::new();
+        let plan = Plan::new(&Feature::all()).unwrap();
+        build(&mut u, &plan, 1).unwrap();
+        assert_eq!(plan.merges().len(), 16);
+        compiled_from(&plan, &u);
+        for m in plan.merges() {
             let recomputed = incr::source_digest(m.name, m.base, &m.fields);
             assert_eq!(m.src_digest, recomputed, "{}", m.name);
-            assert_eq!(c.src_digest, recomputed, "{}", m.name);
         }
+    }
+
+    /// A redefine runs on the plan's merges as they are: the re-proved
+    /// variant and every memo-served one share each field list with the
+    /// plan, which a replan or a fresh merge would have reallocated.
+    #[test]
+    fn redefine_compiles_from_the_plan_s_merges() {
+        let mut u = FamilyUniverse::new();
+        let plan = Plan::new(&Feature::all()).unwrap();
+        build(&mut u, &plan, 1).unwrap();
+        let (next, _, outcome) = redefine(u.session(), &plan, "STLCFix", "typesafe", 1).unwrap();
+        assert_eq!(outcome.ran, vec!["STLCFix".to_string()]);
+        compiled_from(&plan, &next);
+    }
+
+    #[test]
+    fn plan_normalizes_its_features() {
+        let plan = Plan::new(&[Feature::Prod, Feature::Fix, Feature::Prod]).unwrap();
+        assert_eq!(plan.features(), [Feature::Fix, Feature::Prod]);
+        let names: Vec<&str> = plan.merges().iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["STLC", "STLCFix", "STLCProd", "STLCFixProd"]);
+    }
+
+    #[test]
+    fn build_rejects_a_family_the_universe_already_holds() {
+        let mut u = FamilyUniverse::new();
+        u.define(crate::base::stlc_family()).unwrap();
+        let err = build(&mut u, &Plan::new(&[Feature::Fix]).unwrap(), 1).unwrap_err();
+        assert!(err.to_string().contains("already defined"), "{err}");
+        assert_eq!(u.names().len(), 1, "nothing ran");
     }
 
     #[test]
     fn touch_recheck_reproves_only_dirty_cone() {
         let feats = [Feature::Fix, Feature::Prod];
         let mut u = FamilyUniverse::new();
-        let warm = build(&mut u, &feats, 1).unwrap();
+        let plan = Plan::new(&feats).unwrap();
+        let warm = build(&mut u, &plan, 1).unwrap();
         let field = u.family("STLCFix").unwrap().fields[0].name.to_string();
-        let (next, report, outcome) = redefine(&u, &feats, "STLCFix", &field, 1).unwrap();
+        let (next, report, outcome) = redefine(u.session(), &plan, "STLCFix", &field, 1).unwrap();
         // Re-elaborated or memo-served, every variant keeps the field
         // list of the build it replaced.
         for name in u.names() {
@@ -939,32 +1031,27 @@ mod tests {
     fn recheck_rejects_unknown_variant_or_field() {
         let feats = [Feature::Sum];
         let mut u = FamilyUniverse::new();
-        build(&mut u, &feats, 1).unwrap();
-        let unknown = redefine(&u, &feats, "STLCFix", "x", 1).err().unwrap();
-        assert!(redefine(&u, &feats, "STLCSum", "nope", 1).is_err());
+        let plan = Plan::new(&feats).unwrap();
+        build(&mut u, &plan, 1).unwrap();
+        let unknown = redefine(u.session(), &plan, "STLCFix", "x", 1)
+            .err()
+            .unwrap();
+        assert_eq!(
+            unknown.to_string(),
+            "redefine: STLCFix is not a variant of this sub-lattice (features [Sum])"
+        );
+        let field = redefine(u.session(), &plan, "STLCSum", "nope", 1)
+            .err()
+            .unwrap();
+        assert_eq!(
+            field.to_string(),
+            "redefine: family STLCSum has no field nope"
+        );
         // A rebuild touching a name outside the plan fails the same way
         // instead of rebuilding nothing.
         let touched = rebuild(&u, &feats, subset_defs(&feats), &["STLCFix"], 1)
             .err()
             .unwrap();
         assert_eq!(touched.to_string(), unknown.to_string());
-    }
-
-    #[test]
-    fn subsets_count() {
-        // 4 singles + 11 composites = 15 variants (the Venn diagram).
-        let feats = Feature::all();
-        let mut count = 0;
-        for mask in 1u32..16 {
-            let n = feats
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << *i) != 0)
-                .count();
-            if n >= 1 {
-                count += 1;
-            }
-        }
-        assert_eq!(count, 15);
     }
 }

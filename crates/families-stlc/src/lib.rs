@@ -20,5 +20,5 @@ pub mod util;
 
 pub use base::stlc_family;
 pub use lattice::{
-    normalize_features, subset_defs, variant_name, Feature, LatticeReport, VariantStat,
+    normalize_features, subset_defs, variant_name, Feature, LatticeReport, Plan, VariantStat,
 };

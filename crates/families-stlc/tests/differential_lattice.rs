@@ -29,7 +29,8 @@ fn random_sublattices_build_identically_parallel_and_sequential() {
             let seq = build_sequential(&mut seq_u, &s.normalized)
                 .map_err(|e| format!("sequential build failed: {e:?}"))?;
             let mut par_u = FamilyUniverse::new();
-            let par = lattice::build(&mut par_u, &s.normalized, default_workers())
+            let plan = lattice::Plan::new(&s.normalized).unwrap();
+            let par = lattice::build(&mut par_u, &plan, default_workers())
                 .map_err(|e| format!("parallel build failed: {e:?}"))?;
             reports_match(&seq, &par)?;
             if !seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger) {
@@ -63,10 +64,11 @@ fn sublattice_rebuilds_are_deterministic() {
         gen_feature_subset,
         |s: &FeatureSubset| {
             let mut u1 = FamilyUniverse::new();
-            let r1 = lattice::build(&mut u1, &s.normalized, default_workers())
+            let plan = lattice::Plan::new(&s.normalized).unwrap();
+            let r1 = lattice::build(&mut u1, &plan, default_workers())
                 .map_err(|e| format!("first build failed: {e:?}"))?;
             let mut u2 = FamilyUniverse::new();
-            let r2 = lattice::build(&mut u2, &s.normalized, default_workers())
+            let r2 = lattice::build(&mut u2, &plan, default_workers())
                 .map_err(|e| format!("second build failed: {e:?}"))?;
             reports_match(&r1, &r2)?;
             if !u1.modenv.ledger.same_counts(&u2.modenv.ledger) {

@@ -33,14 +33,21 @@
 //!   proof caches**;
 //! * every script containing a touch of a non-top variant observes a
 //!   nonzero cutoff count — the tentpole's reason to exist.
+//!
+//! A second property holds the engine's served path to the same oracle:
+//! [`lattice::redefine`] on one resident [`lattice::Plan`] (no universe,
+//! no replan) must answer every touch exactly as `lattice::rebuild` of
+//! the unedited definitions and as the sequential control do.
 
 use std::collections::HashMap;
 
-use families_stlc::{lattice, subset_defs, variant_name, Feature, VariantStat};
+use families_stlc::{lattice, normalize_features, subset_defs, variant_name, Feature, VariantStat};
+use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
+use fpop::{IncrOutcome, Session};
 use testkit::edit_gen::{expand_script, gen_edit_script, EditScript};
-use testkit::forall;
-use testkit::lattice_ref::{build_sequential_defs, reports_match, rows_match};
+use testkit::lattice_ref::{build_sequential, build_sequential_defs, reports_match, rows_match};
+use testkit::{forall, Rng, Shrink};
 
 fn run_script(script: &EditScript) -> Result<(), String> {
     let feats = &script.features;
@@ -209,5 +216,171 @@ fn noop_edit_reproves_nothing_beyond_the_touched_variant() {
         cutoff() - cutoff_before,
         (report.rows.len() - 1) as u64,
         "the Prometheus counter observes the same cutoffs"
+    );
+}
+
+/// A feature subset and a sequence of touches, each a (variant, base
+/// field) pair; indices wrap modulo the plan's variants and the base
+/// family's fields, so every touch stays valid under shrinking.
+#[derive(Clone, Debug)]
+struct TouchScript {
+    features: Vec<Feature>,
+    touches: Vec<(usize, usize)>,
+}
+
+impl Shrink for TouchScript {
+    fn shrinks(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        for i in 0..self.touches.len() {
+            if self.touches.len() > 1 {
+                let mut touches = self.touches.clone();
+                touches.remove(i);
+                out.push(TouchScript {
+                    features: self.features.clone(),
+                    touches,
+                });
+            }
+        }
+        for i in 0..self.features.len() {
+            if self.features.len() > 1 {
+                let mut features = self.features.clone();
+                features.remove(i);
+                out.push(TouchScript {
+                    features,
+                    touches: self.touches.clone(),
+                });
+            }
+        }
+        out
+    }
+}
+
+/// 1–3 features (duplicates normalized away) and 1–4 touches.
+fn gen_touch_script(r: &mut Rng) -> TouchScript {
+    let all = Feature::all_extended();
+    let raw: Vec<Feature> = (0..r.range(1, 4)).map(|_| *r.pick(&all)).collect();
+    let touches = (0..r.range(1, 5))
+        .map(|_| (r.below(64) as usize, r.below(64) as usize))
+        .collect();
+    TouchScript {
+        features: normalize_features(&raw),
+        touches,
+    }
+}
+
+fn split(o: &IncrOutcome) -> (usize, usize, usize) {
+    (o.dirty, o.cutoff, o.replayed)
+}
+
+fn counts(s: &Session) -> (u64, u64, u64) {
+    let st = s.snapshot_stats();
+    (st.hits, st.misses, st.inserts)
+}
+
+fn run_touches(script: &TouchScript) -> Result<(), String> {
+    let feats = &script.features;
+    let plan = lattice::Plan::new(feats).map_err(|e| format!("plan: {e:?}"))?;
+    let base_fields: Vec<String> = plan.merges()[0]
+        .fields
+        .iter()
+        .map(|f| f.name.to_string())
+        .collect();
+
+    // Three sessions, one history each: the served chain (a cold build of
+    // the plan, then `redefine` on it), the rebuild chain, and the
+    // sequential control.
+    let mut served_u = FamilyUniverse::new();
+    lattice::build(&mut served_u, &plan, default_workers())
+        .map_err(|e| format!("served cold build: {e:?}"))?;
+    let served = served_u.session().clone();
+    let (mut rebuilt_u, _, _) =
+        lattice::rebuild(&FamilyUniverse::new(), feats, subset_defs(feats), &[], 1)
+            .map_err(|e| format!("rebuild cold build: {e:?}"))?;
+    let mut ctrl_u = FamilyUniverse::new();
+    let ctrl = ctrl_u.session().clone();
+    let ctrl_cold =
+        build_sequential(&mut ctrl_u, feats).map_err(|e| format!("control cold build: {e:?}"))?;
+    if !served_u.modenv.ledger.same_counts(&ctrl_u.modenv.ledger) {
+        return Err("cold aggregate ledgers diverge".into());
+    }
+    // The row each variant's memo now replays: its latest run.
+    let mut latest = ctrl_cold.rows.clone();
+
+    for (k, &(v, f)) in script.touches.iter().enumerate() {
+        let family = plan.merges()[v % plan.merges().len()].name.to_string();
+        let field = &base_fields[f % base_fields.len()];
+        let (got_u, got, got_split) =
+            lattice::redefine(&served, &plan, &family, field, default_workers())
+                .map_err(|e| format!("step {k}: redefine {family}.{field}: {e:?}"))?;
+        let (next, want, want_split) =
+            lattice::rebuild(&rebuilt_u, feats, subset_defs(feats), &[&family], 1)
+                .map_err(|e| format!("step {k}: rebuild touching {family}: {e:?}"))?;
+        rebuilt_u = next;
+        let mut cu = FamilyUniverse::with_session(ctrl.clone());
+        let fresh =
+            build_sequential(&mut cu, feats).map_err(|e| format!("step {k}: control: {e:?}"))?;
+
+        let step = |what: &str| format!("step {k} ({family}.{field}): {what}");
+        if split(&got_split) != split(&want_split) || got_split.ran != [family.clone()] {
+            return Err(step(&format!(
+                "split {:?} ran {:?} vs rebuild {:?}",
+                split(&got_split),
+                got_split.ran,
+                split(&want_split)
+            )));
+        }
+        reports_match(&got, &want).map_err(|e| step(&format!("vs rebuild: {e}")))?;
+        // The re-proved variant answers as the control's warm re-check
+        // does; every other row replays that variant's latest run.
+        let i = v % latest.len();
+        latest[i] = fresh.rows[i].clone();
+        let expected = lattice::LatticeReport {
+            rows: latest.clone(),
+        };
+        reports_match(&got, &expected).map_err(|e| step(&format!("vs control: {e}")))?;
+        if !got_u.modenv.ledger.same_counts(&rebuilt_u.modenv.ledger) {
+            return Err(step("aggregate ledgers diverge from the rebuild's"));
+        }
+        let (got_counts, want_counts) = (counts(&served), counts(rebuilt_u.session()));
+        if got_counts != want_counts {
+            return Err(step(&format!(
+                "(hits, misses, inserts) {got_counts:?} vs rebuild {want_counts:?}"
+            )));
+        }
+        // No touch proves anything new: misses and inserts stay at the
+        // control's, which re-checks everything.
+        let c = counts(&ctrl);
+        if (got_counts.1, got_counts.2) != (c.1, c.2) {
+            return Err(step(&format!(
+                "(misses, inserts) {:?} vs control {:?}",
+                (got_counts.1, got_counts.2),
+                (c.1, c.2)
+            )));
+        }
+    }
+
+    let exports = [served.export(), rebuilt_u.session().export(), ctrl.export()];
+    if exports[0] != exports[1] || exports[0] != exports[2] {
+        return Err(format!(
+            "session exports diverge: served {}, rebuild {}, control {} entries",
+            exports[0].len(),
+            exports[1].len(),
+            exports[2].len()
+        ));
+    }
+    Ok(())
+}
+
+/// Oracle #10 on the served path: random touches of random sub-lattices,
+/// `redefine` on one resident plan vs `rebuild` vs the sequential
+/// control.
+#[test]
+fn plan_served_redefines_equal_rebuild_and_the_sequential_control() {
+    forall(
+        "redefine_on_plan_eq_rebuild",
+        0x10C0DE5,
+        4,
+        gen_touch_script,
+        run_touches,
     );
 }

@@ -44,8 +44,8 @@ fn assert_cs1(report: &LatticeReport, build: &str) {
 #[test]
 fn venn_lattice_all_typesafe() {
     let mut u = FamilyUniverse::new();
-    let report =
-        lattice::build(&mut u, &Feature::all(), default_workers()).expect("lattice must compile");
+    let plan = lattice::Plan::new(&Feature::all()).unwrap();
+    let report = lattice::build(&mut u, &plan, default_workers()).expect("lattice must compile");
     assert_eq!(report.rows.len(), 16); // base + 15 variants
     for row in &report.rows {
         let out = u.check(&row.name, "typesafe").unwrap();
@@ -66,14 +66,15 @@ fn venn_lattice_all_typesafe() {
 #[test]
 fn dag_build_reproduces_cs1_and_the_session_series() {
     let mut u = FamilyUniverse::new();
-    let report = lattice::build(&mut u, &Feature::all(), 1).expect("lattice builds");
+    let plan = lattice::Plan::new(&Feature::all()).unwrap();
+    let report = lattice::build(&mut u, &plan, 1).expect("lattice builds");
     assert_cs1(&report, "1-worker DAG");
     let cold = u.session().snapshot_stats();
     assert_eq!((cold.misses, cold.inserts), (COLD_MISSES, COLD_MISSES));
 
     // A warm rebuild on the same session proves nothing new.
     let mut warm_u = FamilyUniverse::with_session(u.session().clone());
-    lattice::build(&mut warm_u, &Feature::all(), 1).expect("warm lattice builds");
+    lattice::build(&mut warm_u, &plan, 1).expect("warm lattice builds");
     let warm = u.session().snapshot_stats();
     assert_eq!(
         (warm.misses - cold.misses, warm.inserts - cold.inserts),
@@ -81,8 +82,8 @@ fn dag_build_reproduces_cs1_and_the_session_series() {
     );
 
     // A served redefine answers with the same variants and field counts.
-    let (_, reply, _) = lattice::redefine(&u, &Feature::all(), "STLCFix", "typesafe", 1)
-        .expect("redefine rechecks");
+    let (_, reply, _) =
+        lattice::redefine(u.session(), &plan, "STLCFix", "typesafe", 1).expect("redefine rechecks");
     let rows: Vec<(&str, usize)> = reply
         .rows
         .iter()
@@ -96,7 +97,8 @@ fn dag_build_reproduces_cs1_and_the_session_series() {
 fn replanning_shares_the_field_lists_of_unchanged_variants() {
     let feats = Feature::all();
     let mut u = FamilyUniverse::new();
-    lattice::build(&mut u, &feats, 1).expect("lattice builds");
+    let plan = lattice::Plan::new(&feats).unwrap();
+    lattice::build(&mut u, &plan, 1).expect("lattice builds");
     let resident = |name: &str| u.family(name).expect("variant is resident");
 
     // Nothing edited: every merge is the resident family's own list.
@@ -170,7 +172,8 @@ fn value_irreducibility_across_the_lattice() {
     // every variant, with feature-added value forms handled by the
     // retroactive FInduction cases.
     let mut u = FamilyUniverse::new();
-    let report = lattice::build(&mut u, &Feature::all_extended(), default_workers()).unwrap();
+    let plan = lattice::Plan::new(&Feature::all_extended()).unwrap();
+    let report = lattice::build(&mut u, &plan, default_workers()).unwrap();
     for row in &report.rows {
         let out = u.check(&row.name, "value_irred").unwrap();
         assert!(out.contains(&format!("{}.value_irred", row.name)), "{out}");

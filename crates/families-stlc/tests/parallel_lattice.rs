@@ -21,9 +21,10 @@ const WIDE: usize = 4;
 #[test]
 fn parallel_venn_lattice_is_deterministic() {
     let mut one_u = FamilyUniverse::new();
-    let one = lattice::build(&mut one_u, &Feature::all(), 1).expect("one-worker lattice");
+    let plan = lattice::Plan::new(&Feature::all()).unwrap();
+    let one = lattice::build(&mut one_u, &plan, 1).expect("one-worker lattice");
     let mut wide_u = FamilyUniverse::new();
-    let wide = lattice::build(&mut wide_u, &Feature::all(), WIDE).expect("parallel lattice");
+    let wide = lattice::build(&mut wide_u, &plan, WIDE).expect("parallel lattice");
 
     reports_match(&one, &wide).unwrap();
     assert!(
@@ -54,7 +55,8 @@ fn parallel_venn_lattice_is_deterministic() {
 #[test]
 fn parallel_extended_lattice_shares_through_the_session() {
     let mut u = FamilyUniverse::new();
-    let report = lattice::build(&mut u, &Feature::all_extended(), WIDE).expect("extended lattice");
+    let plan = lattice::Plan::new(&Feature::all_extended()).unwrap();
+    let report = lattice::build(&mut u, &plan, WIDE).expect("extended lattice");
     assert_eq!(report.rows.len(), 32); // base + 31 variants
 
     // The shared session demonstrably served proofs across variants.
@@ -105,8 +107,8 @@ fn extended_lattices_agree_and_report_hits() {
     assert_eq!(series(&seq_u), (1492, 572, 572));
     for workers in [1, WIDE] {
         let mut dag_u = FamilyUniverse::new();
-        let dag = lattice::build(&mut dag_u, &Feature::all_extended(), workers)
-            .expect("DAG extended lattice");
+        let plan = lattice::Plan::new(&Feature::all_extended()).unwrap();
+        let dag = lattice::build(&mut dag_u, &plan, workers).expect("DAG extended lattice");
         reports_match(&seq, &dag).unwrap_or_else(|e| panic!("{workers} workers: {e}"));
         assert!(
             seq_u.modenv.ledger.same_counts(&dag_u.modenv.ledger),
@@ -129,7 +131,8 @@ fn one_session_spans_universes() {
     // +896/+0/+0 series `examples/check_session.rs` prints.
     let session = fpop::Session::new();
     let mut first = FamilyUniverse::with_session(session.clone());
-    lattice::build(&mut first, &Feature::all(), 1).expect("first lattice");
+    let plan = lattice::Plan::new(&Feature::all()).unwrap();
+    lattice::build(&mut first, &plan, 1).expect("first lattice");
     let after_first = session.snapshot_stats();
     assert_eq!(
         (after_first.hits, after_first.misses, after_first.inserts),
@@ -137,7 +140,7 @@ fn one_session_spans_universes() {
     );
 
     let mut second = FamilyUniverse::with_session(session.clone());
-    lattice::build(&mut second, &Feature::all(), WIDE).expect("second lattice");
+    lattice::build(&mut second, &plan, WIDE).expect("second lattice");
     let after_second = session.snapshot_stats();
 
     // Every proof the second build looked up was served by the session.

@@ -42,7 +42,8 @@ fn run_oracle() {
         let subset = gen_feature_subset(r);
         let feats = subset.normalized.clone();
         let mut u = FamilyUniverse::with_session(Arc::clone(&session));
-        lattice::build(&mut u, &feats, fpop::sched::default_workers())
+        let plan = lattice::Plan::new(&feats).unwrap();
+        lattice::build(&mut u, &plan, fpop::sched::default_workers())
             .expect("variant lattice builds");
         let top = subset.top_variant();
         let sig = &u.family(&top).expect("top variant compiled").sig;

@@ -59,7 +59,8 @@ fn random_sublattices_dag_8_workers_match_sequential_bytes() {
             let seq = build_sequential(&mut seq_u, &s.normalized)
                 .map_err(|e| format!("sequential build failed: {e:?}"))?;
             let mut par_u = FamilyUniverse::new();
-            let par = lattice::build(&mut par_u, &s.normalized, 8)
+            let plan = lattice::Plan::new(&s.normalized).unwrap();
+            let par = lattice::build(&mut par_u, &plan, 8)
                 .map_err(|e| format!("8-worker DAG build failed: {e:?}"))?;
             reports_match(&seq, &par)?;
             if !seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger) {
@@ -96,7 +97,8 @@ fn full_lattice_stress_across_worker_counts() {
     let seq_bytes = export_bytes(&seq_u);
     for workers in [2, 4, 8] {
         let mut par_u = FamilyUniverse::new();
-        let par = lattice::build(&mut par_u, &Feature::all(), workers)
+        let plan = lattice::Plan::new(&Feature::all()).unwrap();
+        let par = lattice::build(&mut par_u, &plan, workers)
             .unwrap_or_else(|e| panic!("{workers}-worker build failed: {e:?}"));
         reports_match(&seq, &par).unwrap_or_else(|e| panic!("{workers} workers: {e}"));
         assert!(

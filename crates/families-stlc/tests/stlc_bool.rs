@@ -18,12 +18,9 @@ fn stlc_bool_inherits_typesafe() {
 #[test]
 fn extended_lattice_31_variants() {
     let mut u = FamilyUniverse::new();
-    let report = lattice::build(
-        &mut u,
-        &Feature::all_extended(),
-        fpop::sched::default_workers(),
-    )
-    .expect("extended lattice");
+    let plan = lattice::Plan::new(&Feature::all_extended()).unwrap();
+    let report =
+        lattice::build(&mut u, &plan, fpop::sched::default_workers()).expect("extended lattice");
     assert_eq!(report.rows.len(), 32); // base + 31 variants
     for row in &report.rows {
         assert!(

@@ -701,7 +701,7 @@ impl EmitterState {
             ctx_entries.push(ModEntry::Include(p.clone()));
         }
         env.add_module_type(ModuleType {
-            name: ctx.clone(),
+            name: ctx.as_str().into(),
             self_ctx: None,
             entries: ctx_entries,
         })
@@ -717,14 +717,14 @@ impl EmitterState {
         entries.extend(items.into_iter().map(ModEntry::Declare));
         if as_module_type {
             env.add_module_type(ModuleType {
-                name: name.clone(),
+                name: name.as_str().into(),
                 self_ctx: Some(ctx.clone()),
                 entries,
             })
             .map_err(|e| Error::new(e.to_string()))?;
         } else {
             env.add_module(Module {
-                name: name.clone(),
+                name: name.as_str().into(),
                 self_ctx: Some(ctx.clone()),
                 entries,
             })
@@ -825,7 +825,7 @@ impl EmitterState {
         }
         entries.extend(discharge.into_iter().map(ModEntry::Declare));
         env.add_module(Module {
-            name: agg_name.clone(),
+            name: agg_name.as_str().into(),
             self_ctx: None,
             entries,
         })

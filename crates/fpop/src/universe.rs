@@ -20,7 +20,7 @@ use modsys::ModuleEnv;
 
 use crate::elab::{elaborate, CompiledFamily};
 use crate::family::FamilyDef;
-use crate::merge::{delta_of, merge, MergedField};
+use crate::merge::{delta_of, merge, MergedFamily, MergedField};
 use crate::session::Session;
 
 /// A universe of compiled families sharing a module environment and a
@@ -72,81 +72,10 @@ impl FamilyUniverse {
     }
 
     /// Resolves a definition against the families already in this universe:
-    /// inheritance lookup, mixin delta extraction, and merge. Read-only —
-    /// this is the half of `define` that parallel builders run on worker
-    /// threads before elaborating into a detached environment.
-    fn resolve(&self, def: &FamilyDef) -> Result<crate::merge::MergedFamily> {
-        self.resolve_with(def, &HashMap::new())
-    }
-
-    /// [`Self::resolve`] with an overlay of *planned* (merged but not yet
-    /// elaborated) families. Bases and mixins are looked up first in the
-    /// overlay, then in the compiled universe — so an entire lattice can
-    /// be resolved up front, before any variant elaborates (the task-DAG
-    /// build needs every merge to derive dependency edges).
-    fn resolve_with(
-        &self,
-        def: &FamilyDef,
-        planned: &HashMap<Symbol, crate::merge::MergedFamily>,
-    ) -> Result<crate::merge::MergedFamily> {
-        self.resolve_inner(def, planned, false)
-    }
-
-    /// The resolve core. With `allow_shadow`, a definition may *reuse* the
-    /// name of an already-compiled family: the new merge shadows the old
-    /// compiled one (planned entries are consulted before compiled ones),
-    /// which is what a replan-after-edit needs — the batch redefines the
-    /// whole lattice over the same names. Duplicates *within* the batch
-    /// are always an error.
-    fn resolve_inner(
-        &self,
-        def: &FamilyDef,
-        planned: &HashMap<Symbol, crate::merge::MergedFamily>,
-        allow_shadow: bool,
-    ) -> Result<crate::merge::MergedFamily> {
-        if planned.contains_key(&def.name)
-            || (!allow_shadow && self.families.contains_key(&def.name))
-        {
-            return Err(Error::new(format!(
-                "family {} is already defined",
-                def.name
-            )));
-        }
-        // Shape of a prior family, wherever it lives: (base, fields).
-        let shape_of = |name: Symbol| -> Option<(Option<Symbol>, &[MergedField])> {
-            if let Some(p) = planned.get(&name) {
-                return Some((p.base, &p.fields[..]));
-            }
-            self.families.get(&name).map(|c| (c.base, &c.fields[..]))
-        };
-        let base_fields: &[MergedField] = match def.extends {
-            None => {
-                if !def.mixins.is_empty() {
-                    return Err(Error::new("`using` requires an `extends` base"));
-                }
-                &[]
-            }
-            Some(base) => {
-                shape_of(base)
-                    .ok_or_else(|| Error::new(format!("unknown base family {base}")))?
-                    .1
-            }
-        };
-        let mut mixin_deltas = Vec::new();
-        for m in &def.mixins {
-            let (mixin_base, mixin_fields) =
-                shape_of(*m).ok_or_else(|| Error::new(format!("unknown mixin family {m}")))?;
-            if mixin_base != def.extends {
-                return Err(Error::new(format!(
-                    "mixin {m} extends {mixin_base:?}, not the composite's base {:?}",
-                    def.extends
-                )));
-            }
-            let delta = delta_of(base_fields, mixin_fields)
-                .map_err(|e| e.with_context(format!("delta of mixin {m}")))?;
-            mixin_deltas.push((*m, delta));
-        }
-        merge(def, base_fields, &mixin_deltas)
+    /// inheritance lookup, mixin delta extraction, and merge (the first
+    /// half of `define`).
+    fn resolve(&self, def: &FamilyDef) -> Result<MergedFamily> {
+        resolve_against(&self.families, def, &HashMap::new(), false)
     }
 
     /// Resolves a whole batch of definitions up front, each against this
@@ -158,17 +87,8 @@ impl FamilyUniverse {
     pub fn plan<'a>(
         &self,
         defs: impl IntoIterator<Item = &'a FamilyDef>,
-    ) -> Result<Vec<crate::merge::MergedFamily>> {
-        let mut planned: HashMap<Symbol, crate::merge::MergedFamily> = HashMap::new();
-        let mut out = Vec::new();
-        for def in defs {
-            let merged = self
-                .resolve_with(def, &planned)
-                .map_err(|e| e.with_context(format!("planning family {}", def.name)))?;
-            planned.insert(def.name, merged.clone());
-            out.push(merged);
-        }
-        Ok(out)
+    ) -> Result<Vec<MergedFamily>> {
+        plan_against(&self.families, defs)
     }
 
     /// Replans a whole lattice *after an edit*: like [`Self::plan`], but
@@ -192,8 +112,8 @@ impl FamilyUniverse {
     pub fn replan_after_edit<'a>(
         &self,
         defs: impl IntoIterator<Item = &'a FamilyDef>,
-    ) -> Result<Vec<crate::merge::MergedFamily>> {
-        let mut planned: HashMap<Symbol, crate::merge::MergedFamily> = HashMap::new();
+    ) -> Result<Vec<MergedFamily>> {
+        let mut planned: HashMap<Symbol, MergedFamily> = HashMap::new();
         // Batch members that came out content-equal to their compiled
         // predecessor. Ancestors *outside* the batch are compiled families
         // being neither edited nor replanned — clean by definition.
@@ -212,7 +132,7 @@ impl FamilyUniverse {
             let dd = crate::incr::def_digest(def);
             let (merged, dirty) = match prev {
                 Some(p) if chain_clean && p.def_digest == dd => (
-                    crate::merge::MergedFamily {
+                    MergedFamily {
                         name: p.name,
                         base: p.base,
                         fields: Arc::clone(&p.fields),
@@ -223,8 +143,7 @@ impl FamilyUniverse {
                     false,
                 ),
                 _ => {
-                    let merged = self
-                        .resolve_inner(def, &planned, true)
+                    let merged = resolve_against(&self.families, def, &planned, true)
                         .map_err(|e| e.with_context(format!("replanning family {}", def.name)))?;
                     let dirty = prev.is_none_or(|p| p.src_digest != merged.src_digest);
                     (merged, dirty)
@@ -326,6 +245,93 @@ impl FamilyUniverse {
     pub fn theorem_statement(&self, family: &str, field: &str) -> Option<&Prop> {
         self.family(family)?.theorems.get(&Symbol::new(field))
     }
+}
+
+/// [`FamilyUniverse::plan`] against an empty universe: every base and
+/// mixin a definition names must be an earlier entry of the batch. The
+/// merges depend on the definitions alone, so they outlive any universe —
+/// the lattice keeps them as a feature set's build plan.
+///
+/// # Errors
+///
+/// As for [`FamilyUniverse::plan`]; a name outside the batch is an
+/// unknown base or mixin.
+pub fn plan_detached<'a>(
+    defs: impl IntoIterator<Item = &'a FamilyDef>,
+) -> Result<Vec<MergedFamily>> {
+    plan_against(&HashMap::new(), defs)
+}
+
+/// Plans a batch against `compiled` plus the earlier entries of the batch.
+fn plan_against<'a>(
+    compiled: &HashMap<Symbol, Arc<CompiledFamily>>,
+    defs: impl IntoIterator<Item = &'a FamilyDef>,
+) -> Result<Vec<MergedFamily>> {
+    let mut planned: HashMap<Symbol, MergedFamily> = HashMap::new();
+    let mut out = Vec::new();
+    for def in defs {
+        let merged = resolve_against(compiled, def, &planned, false)
+            .map_err(|e| e.with_context(format!("planning family {}", def.name)))?;
+        planned.insert(def.name, merged.clone());
+        out.push(merged);
+    }
+    Ok(out)
+}
+
+/// The resolve core: looks a definition's base and mixins up first in
+/// `planned`, then in `compiled`, and merges. With `allow_shadow`, a
+/// definition may *reuse* the name of a compiled family: the new merge
+/// shadows the old compiled one (planned entries are consulted before
+/// compiled ones), which is what a replan-after-edit needs — the batch
+/// redefines the whole lattice over the same names. Duplicates *within*
+/// the batch are always an error.
+fn resolve_against(
+    compiled: &HashMap<Symbol, Arc<CompiledFamily>>,
+    def: &FamilyDef,
+    planned: &HashMap<Symbol, MergedFamily>,
+    allow_shadow: bool,
+) -> Result<MergedFamily> {
+    if planned.contains_key(&def.name) || (!allow_shadow && compiled.contains_key(&def.name)) {
+        return Err(Error::new(format!(
+            "family {} is already defined",
+            def.name
+        )));
+    }
+    // Shape of a prior family, wherever it lives: (base, fields).
+    let shape_of = |name: Symbol| -> Option<(Option<Symbol>, &[MergedField])> {
+        if let Some(p) = planned.get(&name) {
+            return Some((p.base, &p.fields[..]));
+        }
+        compiled.get(&name).map(|c| (c.base, &c.fields[..]))
+    };
+    let base_fields: &[MergedField] = match def.extends {
+        None => {
+            if !def.mixins.is_empty() {
+                return Err(Error::new("`using` requires an `extends` base"));
+            }
+            &[]
+        }
+        Some(base) => {
+            shape_of(base)
+                .ok_or_else(|| Error::new(format!("unknown base family {base}")))?
+                .1
+        }
+    };
+    let mut mixin_deltas = Vec::new();
+    for m in &def.mixins {
+        let (mixin_base, mixin_fields) =
+            shape_of(*m).ok_or_else(|| Error::new(format!("unknown mixin family {m}")))?;
+        if mixin_base != def.extends {
+            return Err(Error::new(format!(
+                "mixin {m} extends {mixin_base:?}, not the composite's base {:?}",
+                def.extends
+            )));
+        }
+        let delta = delta_of(base_fields, mixin_fields)
+            .map_err(|e| e.with_context(format!("delta of mixin {m}")))?;
+        mixin_deltas.push((*m, delta));
+    }
+    merge(def, base_fields, &mixin_deltas)
 }
 
 /// Warms the session's compiled-code cache with every concrete function

@@ -104,8 +104,9 @@ pub enum ModEntry {
 /// A module type (declares axioms; parameterized by `self : ctx`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ModuleType {
-    /// Fully qualified name, e.g. `STLC◦tm`.
-    pub name: String,
+    /// Fully qualified name, e.g. `STLC◦tm`. Shared (`Arc<str>`) with the
+    /// environment's name index, so registering a module copies a pointer.
+    pub name: Arc<str>,
     /// The context module type of the `self` parameter, if any.
     pub self_ctx: Option<String>,
     /// Entries.
@@ -116,8 +117,9 @@ pub struct ModuleType {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Module {
     /// Fully qualified name, e.g. `STLC◦subst◦Cases` or the aggregate
-    /// `STLC`.
-    pub name: String,
+    /// `STLC`. Shared with the environment's name index, as for
+    /// [`ModuleType::name`].
+    pub name: Arc<str>,
     /// The context module type of the `self` parameter, if any.
     pub self_ctx: Option<String>,
     /// Entries.
@@ -126,16 +128,17 @@ pub struct Module {
 
 /// The global environment of compiled modules and module types.
 ///
-/// Module bodies are stored behind `Arc`s, so cloning an environment (the
-/// parallel lattice build clones one per variant) and applying a
-/// [`ModuleDelta`] are copy-on-write: only the name tables and the order
-/// vector are duplicated, never the entry vectors themselves. Modules are
+/// Module bodies are stored behind `Arc`s and names are `Arc<str>`s shared
+/// by the body, the name index and the registration order, so cloning an
+/// environment (the parallel lattice build clones one per variant) and
+/// applying a [`ModuleDelta`] copy pointers: the name index and the order
+/// vector are duplicated, never a name or an entry vector. Modules are
 /// immutable once registered, which is what makes the sharing sound.
 #[derive(Clone, Default, Debug)]
 pub struct ModuleEnv {
-    module_types: HashMap<String, Arc<ModuleType>>,
-    modules: HashMap<String, Arc<Module>>,
-    order: Vec<String>,
+    /// Every module and module type, by name (one namespace).
+    entities: HashMap<Arc<str>, DeltaEntry>,
+    order: Vec<Arc<str>>,
     /// Accounting of checked-vs-shared entities.
     pub ledger: CheckLedger,
 }
@@ -148,48 +151,54 @@ impl ModuleEnv {
 
     /// Registers a module type; `Include` targets must already exist.
     pub fn add_module_type(&mut self, mt: ModuleType) -> Result<(), ModError> {
-        if self.module_types.contains_key(&mt.name) || self.modules.contains_key(&mt.name) {
-            return Err(ModError(format!("duplicate module name {}", mt.name)));
-        }
-        self.validate_entries(&mt.entries, &mt.name)?;
-        if let Some(ctx) = &mt.self_ctx {
-            if !self.module_types.contains_key(ctx) {
-                return Err(ModError(format!(
-                    "module type {}: unknown self context {ctx}",
-                    mt.name
-                )));
-            }
-        }
-        self.ledger.record_checked(&mt.name);
-        self.order.push(mt.name.clone());
-        self.module_types.insert(mt.name.clone(), Arc::new(mt));
+        let entity = DeltaEntry::Type(Arc::new(mt));
+        self.register(&entity)?;
+        self.ledger.record_checked(entity.name());
+        self.insert(entity);
         Ok(())
     }
 
     /// Registers a module.
     pub fn add_module(&mut self, m: Module) -> Result<(), ModError> {
-        if self.module_types.contains_key(&m.name) || self.modules.contains_key(&m.name) {
-            return Err(ModError(format!("duplicate module name {}", m.name)));
+        let entity = DeltaEntry::Module(Arc::new(m));
+        self.register(&entity)?;
+        self.ledger.record_checked(entity.name());
+        self.insert(entity);
+        Ok(())
+    }
+
+    /// Validates a registration: a fresh name, existing `Include` targets
+    /// and an existing self context.
+    fn register(&self, entity: &DeltaEntry) -> Result<(), ModError> {
+        let (name, self_ctx, entries) = entity.parts();
+        if self.entities.contains_key(name) {
+            return Err(ModError(format!("duplicate module name {name}")));
         }
-        self.validate_entries(&m.entries, &m.name)?;
-        if let Some(ctx) = &m.self_ctx {
-            if !self.module_types.contains_key(ctx) {
+        self.validate_entries(entries, name)?;
+        if let Some(ctx) = self_ctx {
+            if self.module_type(ctx).is_none() {
+                let what = match entity {
+                    DeltaEntry::Type(_) => "module type",
+                    DeltaEntry::Module(_) => "module",
+                };
                 return Err(ModError(format!(
-                    "module {}: unknown self context {ctx}",
-                    m.name
+                    "{what} {name}: unknown self context {ctx}"
                 )));
             }
         }
-        self.ledger.record_checked(&m.name);
-        self.order.push(m.name.clone());
-        self.modules.insert(m.name.clone(), Arc::new(m));
         Ok(())
+    }
+
+    fn insert(&mut self, entity: DeltaEntry) {
+        let name = Arc::clone(entity.name());
+        self.order.push(Arc::clone(&name));
+        self.entities.insert(name, entity);
     }
 
     fn validate_entries(&self, entries: &[ModEntry], owner: &str) -> Result<(), ModError> {
         for e in entries {
             if let ModEntry::Include(target) = e {
-                if !self.module_types.contains_key(target) && !self.modules.contains_key(target) {
+                if !self.entities.contains_key(target.as_str()) {
                     return Err(ModError(format!(
                         "{owner}: Include target {target} does not exist"
                     )));
@@ -201,22 +210,25 @@ impl ModuleEnv {
 
     /// Looks up a module type.
     pub fn module_type(&self, name: &str) -> Option<&ModuleType> {
-        self.module_types.get(name).map(Arc::as_ref)
+        match self.entities.get(name)? {
+            DeltaEntry::Type(mt) => Some(mt),
+            DeltaEntry::Module(_) => None,
+        }
     }
     /// Looks up a module.
     pub fn module(&self, name: &str) -> Option<&Module> {
-        self.modules.get(name).map(Arc::as_ref)
+        match self.entities.get(name)? {
+            DeltaEntry::Module(m) => Some(m),
+            DeltaEntry::Type(_) => None,
+        }
     }
     /// Registration order of all names.
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[Arc<str>] {
         &self.order
     }
 
     fn entries_of(&self, name: &str) -> Option<&[ModEntry]> {
-        self.module_types
-            .get(name)
-            .map(|mt| mt.entries.as_slice())
-            .or_else(|| self.modules.get(name).map(|m| m.entries.as_slice()))
+        self.entities.get(name).map(|e| e.parts().2)
     }
 
     /// Flattens a module's items, following `Include`s transitively.
@@ -296,14 +308,10 @@ impl ModuleEnv {
     /// a thread boundary and be [`ModuleEnv::apply_delta`]-ed into another
     /// environment.
     pub fn delta_since(&self, mark: usize) -> ModuleDelta {
-        let mut entries = Vec::with_capacity(self.order.len().saturating_sub(mark));
-        for name in self.order.iter().skip(mark) {
-            if let Some(mt) = self.module_types.get(name) {
-                entries.push(DeltaEntry::Type(Arc::clone(mt)));
-            } else if let Some(m) = self.modules.get(name) {
-                entries.push(DeltaEntry::Module(Arc::clone(m)));
-            }
-        }
+        let entries = self.order[mark.min(self.order.len())..]
+            .iter()
+            .map(|name| self.entities[name].clone())
+            .collect();
         ModuleDelta {
             entries,
             ledger: self.ledger.clone(),
@@ -321,28 +329,8 @@ impl ModuleEnv {
     /// environment.
     pub fn apply_delta(&mut self, delta: &ModuleDelta) -> Result<(), ModError> {
         for e in &delta.entries {
-            let (name, self_ctx, entries) = match e {
-                DeltaEntry::Type(mt) => (&mt.name, &mt.self_ctx, &mt.entries),
-                DeltaEntry::Module(m) => (&m.name, &m.self_ctx, &m.entries),
-            };
-            if self.module_types.contains_key(name) || self.modules.contains_key(name) {
-                return Err(ModError(format!("duplicate module name {name}")));
-            }
-            self.validate_entries(entries, name)?;
-            if let Some(ctx) = self_ctx {
-                if !self.module_types.contains_key(ctx) {
-                    return Err(ModError(format!("{name}: unknown self context {ctx}")));
-                }
-            }
-            self.order.push(name.clone());
-            match e {
-                DeltaEntry::Type(mt) => {
-                    self.module_types.insert(mt.name.clone(), Arc::clone(mt));
-                }
-                DeltaEntry::Module(m) => {
-                    self.modules.insert(m.name.clone(), Arc::clone(m));
-                }
-            }
+            self.register(e)?;
+            self.insert(e.clone());
         }
         self.ledger.absorb(&delta.ledger);
         Ok(())
@@ -360,6 +348,24 @@ pub enum DeltaEntry {
     Type(Arc<ModuleType>),
     /// A module registered by the worker.
     Module(Arc<Module>),
+}
+
+impl DeltaEntry {
+    /// The registered name.
+    fn name(&self) -> &Arc<str> {
+        match self {
+            DeltaEntry::Type(mt) => &mt.name,
+            DeltaEntry::Module(m) => &m.name,
+        }
+    }
+
+    /// Name, self context and entries, whichever kind this is.
+    fn parts(&self) -> (&Arc<str>, Option<&str>, &[ModEntry]) {
+        match self {
+            DeltaEntry::Type(mt) => (&mt.name, mt.self_ctx.as_deref(), &mt.entries),
+            DeltaEntry::Module(m) => (&m.name, m.self_ctx.as_deref(), &m.entries),
+        }
+    }
 }
 
 /// The portable result of elaborating into a scratch [`ModuleEnv`]: the

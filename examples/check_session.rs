@@ -20,14 +20,15 @@ fn main() {
     // 1. One worker vs the default width over the extended (31-variant)
     //    lattice.
     let workers = default_workers();
+    let extended = lattice::Plan::new(&Feature::all_extended()).unwrap();
     let t = Instant::now();
     let mut one_u = FamilyUniverse::new();
-    let one = lattice::build(&mut one_u, &Feature::all_extended(), 1).unwrap();
+    let one = lattice::build(&mut one_u, &extended, 1).unwrap();
     let one_time = t.elapsed();
 
     let t = Instant::now();
     let mut par_u = FamilyUniverse::new();
-    let par = lattice::build(&mut par_u, &Feature::all_extended(), workers).unwrap();
+    let par = lattice::build(&mut par_u, &extended, workers).unwrap();
     let par_time = t.elapsed();
 
     assert_eq!(one.rows.len(), par.rows.len());
@@ -55,15 +56,16 @@ fn main() {
     // 3. Cross-universe reuse: rebuild the Venn lattice against a warm
     //    session — every proof a cache hit, zero new inserts.
     let session = Session::new();
+    let venn = lattice::Plan::new(&Feature::all()).unwrap();
     let t = Instant::now();
     let mut first = FamilyUniverse::with_session(session.clone());
-    lattice::build(&mut first, &Feature::all(), workers).unwrap();
+    lattice::build(&mut first, &venn, workers).unwrap();
     let cold_time = t.elapsed();
     let cold = session.snapshot_stats();
 
     let t = Instant::now();
     let mut second = FamilyUniverse::with_session(session.clone());
-    lattice::build(&mut second, &Feature::all(), workers).unwrap();
+    lattice::build(&mut second, &venn, workers).unwrap();
     let warm_time = t.elapsed();
     let warm = session.snapshot_stats();
 

@@ -13,8 +13,9 @@ use fpop::universe::FamilyUniverse;
 fn main() {
     let mut universe = FamilyUniverse::new();
     let t = std::time::Instant::now();
-    let report = lattice::build(&mut universe, &Feature::all(), default_workers())
-        .expect("lattice must compile");
+    let plan = lattice::Plan::new(&Feature::all()).expect("lattice plans");
+    let report =
+        lattice::build(&mut universe, &plan, default_workers()).expect("lattice must compile");
     println!(
         "Built the full composition lattice ({} variants) in {:.2?}:\n",
         report.rows.len(),
@@ -36,8 +37,8 @@ fn main() {
     // feature — 31 variants.
     let mut u2 = FamilyUniverse::new();
     let t2 = std::time::Instant::now();
-    let ext = lattice::build(&mut u2, &Feature::all_extended(), default_workers())
-        .expect("extended lattice");
+    let plan = lattice::Plan::new(&Feature::all_extended()).expect("extended lattice plans");
+    let ext = lattice::build(&mut u2, &plan, default_workers()).expect("extended lattice");
     println!(
         "Extended lattice with STLCBool (5 features, {} variants) in {:.2?}; all type-safe.\n",
         ext.rows.len() - 1,

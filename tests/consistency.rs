@@ -84,12 +84,9 @@ fn open_world_restriction_enforced() {
 #[test]
 fn lattice_assumption_audit_clean() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::lattice::build(
-        &mut u,
-        &families_stlc::Feature::all(),
-        fpop::sched::default_workers(),
-    )
-    .unwrap();
+    let plan = families_stlc::lattice::Plan::new(&families_stlc::Feature::all()).unwrap();
+    let report =
+        families_stlc::lattice::build(&mut u, &plan, fpop::sched::default_workers()).unwrap();
     for row in &report.rows {
         let fam = u.family(&row.name).unwrap();
         assert!(

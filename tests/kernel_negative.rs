@@ -170,7 +170,8 @@ mod family_tactics {
     fn variant_sigs() -> Vec<(&'static str, Signature)> {
         let mut u = FamilyUniverse::new();
         let features = [Feature::Prod, Feature::Sum, Feature::Bool];
-        lattice::build(&mut u, &features, fpop::sched::default_workers()).expect("lattice builds");
+        let plan = lattice::Plan::new(&features).unwrap();
+        lattice::build(&mut u, &plan, fpop::sched::default_workers()).expect("lattice builds");
         ["STLCProd", "STLCSum", "STLCBool"]
             .into_iter()
             .map(|n| (n, (*u.family(n).expect("variant compiled").sig).clone()))

@@ -1,14 +1,18 @@
 //! The exact counts behind EXPERIMENTS.md's paper-facing claims: F1/F2,
-//! F4/F5, CS1-share and its session-cache addendum.
+//! F4/F5, §3.6, CS1-share and its session-cache addendum.
 //!
-//! Every family here is defined through [`FamilyUniverse::define`] in the
-//! lattice's canonical plan order ([`subset_defs`]), so the counts do not
-//! depend on which lattice builder produced them. The copy-paste foil is
-//! [`baseline::standalone_cost`].
+//! Every lattice family here is defined through [`FamilyUniverse::define`]
+//! in the lattice's canonical plan order ([`subset_defs`]), so the counts
+//! do not depend on which lattice builder produced them. The copy-paste
+//! foil is [`baseline::standalone_cost`].
 
 use families_stlc::{subset_defs, variant_name, Feature};
+use fpop::family::FamilyDef;
 use fpop::universe::FamilyUniverse;
 use fpop::Session;
+use objlang::sig::CtorSig;
+use objlang::syntax::{Prop, Term};
+use objlang::Tactic;
 
 /// Defines every variant of the sub-lattice spanned by `features` in plan
 /// order; returns each variant's (name, units checked).
@@ -76,6 +80,49 @@ fn f4_f5_module_entities() {
     assert_eq!((names.len(), types, modules), (78, 62, 16));
     assert_eq!(per_field, 76);
     assert!(env.module("STLC").is_some() && env.module("STLCFix").is_some());
+}
+
+/// §3.6 / Theorem 3.1: a disjointness lemma proved with `fdiscriminate`
+/// (a partial recursor) is shared by a derived family that adds three
+/// constructors, with no recheck; the closed-world formulation (a
+/// reprove-on-extend lemma proved by `discriminate`) is re-proved once.
+/// Returns the derived family's (shares, rechecks) of the lemma.
+fn disjointness_route(via_partial_recursor: bool) -> (usize, usize) {
+    let statement = Prop::imp(Prop::eq(Term::c0("k_a"), Term::c0("k_b")), Prop::False);
+    let base = FamilyDef::new("PBase").inductive(
+        "d0",
+        vec![CtorSig::new("k_a", vec![]), CtorSig::new("k_b", vec![])],
+    );
+    let base = if via_partial_recursor {
+        base.theorem(
+            "a_neq_b",
+            statement,
+            vec![Tactic::Intro, Tactic::FDiscriminate("H".into())],
+        )
+    } else {
+        base.reprove_lemma(
+            "a_neq_b",
+            statement,
+            vec![Tactic::Intro, Tactic::Discriminate("H".into())],
+            &["d0"],
+        )
+    };
+    let extra = (0..3)
+        .map(|i| CtorSig::new(&format!("k_extra{i}"), vec![]))
+        .collect();
+    let derived = FamilyDef::extending("PDerived", "PBase").extend_inductive("d0", extra);
+    let mut u = FamilyUniverse::new();
+    u.define(base).unwrap();
+    u.define(derived).unwrap();
+    let ledger = &u.family("PDerived").unwrap().ledger;
+    let count = |units: Vec<String>| units.iter().filter(|n| n.contains("a_neq_b")).count();
+    (count(ledger.shared()), count(ledger.checked()))
+}
+
+#[test]
+fn s3_6_partial_recursor_lemma_is_shared_closed_world_lemma_reproved() {
+    assert_eq!(disjointness_route(true), (1, 0), "fdiscriminate route");
+    assert_eq!(disjointness_route(false), (0, 1), "closed-world route");
 }
 
 /// CS1-share: over the Venn lattice the family route checks 405 units —

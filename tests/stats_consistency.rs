@@ -23,7 +23,8 @@ fn summed_ledger(u: &FamilyUniverse) -> CheckLedger {
 fn snapshot_agrees_with_summed_ledgers_on_full_lattice() {
     let session = Session::new();
     let mut u = FamilyUniverse::with_session(Arc::clone(&session));
-    lattice::build(&mut u, &Feature::all(), default_workers()).expect("lattice builds");
+    let plan = lattice::Plan::new(&Feature::all()).unwrap();
+    lattice::build(&mut u, &plan, default_workers()).expect("lattice builds");
 
     let snapshot = session.snapshot_stats();
     let combined = summed_ledger(&u);
@@ -49,7 +50,8 @@ fn snapshot_tracks_incremental_builds() {
     let session = Session::new();
 
     let mut u1 = FamilyUniverse::with_session(Arc::clone(&session));
-    lattice::build(&mut u1, &[Feature::Fix, Feature::Prod], default_workers()).unwrap();
+    let plan = lattice::Plan::new(&[Feature::Fix, Feature::Prod]).unwrap();
+    lattice::build(&mut u1, &plan, default_workers()).unwrap();
     let after_first = session.snapshot_stats();
     let combined_first = summed_ledger(&u1);
     assert_eq!(after_first.hits, combined_first.cache_hits() as u64);
@@ -58,7 +60,7 @@ fn snapshot_tracks_incremental_builds() {
     // A second universe over the same session: the session counters keep
     // accumulating, and the deltas match the new universe's ledger sums.
     let mut u2 = FamilyUniverse::with_session(Arc::clone(&session));
-    lattice::build(&mut u2, &[Feature::Fix, Feature::Prod], default_workers()).unwrap();
+    lattice::build(&mut u2, &plan, default_workers()).unwrap();
     let after_second = session.snapshot_stats();
     let combined_second = summed_ledger(&u2);
 
