@@ -654,7 +654,8 @@ pub fn imp_cp_family() -> FamilyDef {
                             ],
                         ],
                     ),
-                ],
+                ]
+                .into(),
                 depends_on: vec![sym("rval"), sym("absval")],
             },
         })

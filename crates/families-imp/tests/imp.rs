@@ -71,15 +71,28 @@ fn rstate_preserved_dynamically() {
     // analysis result of each variable concretizes its concrete value.
     let u = build();
     let cp = u.family("ImpCP").unwrap();
-    let prog = program(vec![
+    let chain = program(vec![
         assign_num("a", 1),
         assign_plus_vars("b", "a", "a"),
         assign_plus_vars("c", "b", "a"),
     ]);
-    for (x, expect) in [("a", 1u64), ("b", 2), ("c", 3)] {
-        let n = run_exec(cp, &prog, x).unwrap();
+    // The CS2 row's Fibonacci-by-CP chain: f0 := 1; f1 := 1;
+    // fk := f(k-2) + f(k-1) up to f7, the constant 21.
+    let f = |k: usize| format!("f{k}");
+    let mut fib = vec![assign_num("f0", 1), assign_num("f1", 1)];
+    for k in 2..8 {
+        fib.push(assign_plus_vars(&f(k), &f(k - 2), &f(k - 1)));
+    }
+    let fib = program(fib);
+    for (prog, x, expect) in [
+        (&chain, "a", 1u64),
+        (&chain, "b", 2),
+        (&chain, "c", 3),
+        (&fib, "f7", 21),
+    ] {
+        let n = run_exec(cp, prog, x).unwrap();
         assert_eq!(n, expect);
-        let av = run_analysis(cp, &prog, x).unwrap();
+        let av = run_analysis(cp, prog, x).unwrap();
         assert_eq!(av, Term::ctor("av_const", vec![objlang::eval::nat_lit(n)]));
     }
 }

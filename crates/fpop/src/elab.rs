@@ -834,8 +834,6 @@ impl EmitterState {
             .print_assumptions(&agg_name)
             .map_err(|e| Error::new(e.to_string()))?;
         for l in &lingering {
-            let base = l.split('_').next().unwrap_or(l);
-            let _ = base;
             if !assumptions.iter().any(|a| l.starts_with(a.as_str())) {
                 return Err(Error::new(format!(
                     "assumption audit for {agg_name}: unexpected lingering axiom {l}"

@@ -6,11 +6,79 @@
 //! of Figure 2 (`FInductive`, `FRecursion`, `FInduction`, `FDefinition`,
 //! `FTheorem`, `+=`, …).
 
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
+
 use objlang::ident::Symbol;
 use objlang::induction::Motive;
 use objlang::sig::{AliasFn, CtorSig, PropDef, RecCase, Rule};
 use objlang::syntax::{Prop, Sort};
 use objlang::tactic::Tactic;
+
+/// A proof script: its tactics behind one shared pointer, plus their
+/// content digest, computed once when the script is built.
+///
+/// Every proof-cache lookup and insert keys on that digest (see
+/// [`crate::session`]), and a merge, a cache insert or a memo replay
+/// copies the pointer, so a script shared by every variant of a lattice
+/// is rendered once and stored once. Equality tries the pointer, then the
+/// digest, then the tactics. `Debug` prints exactly what the tactics'
+/// `Vec` prints, so renderings that include a script (the snapshot export
+/// order, the source digests) do not depend on this type.
+#[derive(Clone)]
+pub struct Script {
+    tactics: Arc<[Tactic]>,
+    digest: u64,
+}
+
+impl Script {
+    /// The script's content digest, the script component of every
+    /// proof-cache bucket key.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
+impl From<Vec<Tactic>> for Script {
+    fn from(tactics: Vec<Tactic>) -> Script {
+        Script {
+            digest: crate::session::script_digest(&tactics),
+            tactics: tactics.into(),
+        }
+    }
+}
+
+impl Deref for Script {
+    type Target = [Tactic];
+
+    fn deref(&self) -> &[Tactic] {
+        &self.tactics
+    }
+}
+
+impl PartialEq for Script {
+    fn eq(&self, other: &Script) -> bool {
+        Arc::ptr_eq(&self.tactics, &other.tactics)
+            || (self.digest == other.digest && self.tactics == other.tactics)
+    }
+}
+
+impl Eq for Script {}
+
+impl Hash for Script {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Equal tactics have equal digests, so this agrees with `Eq`.
+        self.digest.hash(state);
+    }
+}
+
+impl fmt::Debug for Script {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.tactics, f)
+    }
+}
 
 /// How a theorem field is proven.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -18,14 +86,14 @@ pub enum ProofSpec {
     /// An ordinary opaque proof script (`Proof. … Qed.`). Checked once in
     /// the defining family and inherited by derived families without
     /// rechecking (late binding makes this sound, Section 4).
-    Script(Vec<Tactic>),
+    Script(Script),
     /// A closed-world proof script that is *re-run* in every derived family
     /// that further binds one of `depends_on` (the treatment of trivial
     /// inversion lemmas described in Section 7). Within the script,
     /// inversion/case analysis on the listed extensible types is permitted.
     ReproveOnExtend {
         /// The script to (re-)run.
-        script: Vec<Tactic>,
+        script: Script,
         /// Extensible datatypes/predicates the proof performs closed-world
         /// reasoning on; further binding any of them triggers a re-prove.
         depends_on: Vec<Symbol>,
@@ -143,7 +211,7 @@ pub enum Field {
         /// The motive.
         motive: Motive,
         /// One proof script per rule (rule name, script).
-        cases: Vec<(Symbol, Vec<Tactic>)>,
+        cases: Vec<(Symbol, Script)>,
         /// Whether `auto` may use the resulting lemma as a hint.
         hint: bool,
     },
@@ -158,7 +226,7 @@ pub enum Field {
         /// The motive.
         motive: objlang::induction::DataMotive,
         /// One proof script per constructor.
-        cases: Vec<(Symbol, Vec<Tactic>)>,
+        cases: Vec<(Symbol, Script)>,
         /// Whether `auto` may use the resulting lemma as a hint.
         hint: bool,
     },
@@ -167,14 +235,14 @@ pub enum Field {
         /// Lemma name.
         name: Symbol,
         /// Added cases.
-        cases: Vec<(Symbol, Vec<Tactic>)>,
+        cases: Vec<(Symbol, Script)>,
     },
     /// `FInduction name … +=` — retroactive induction cases.
     InductionExt {
         /// Lemma name.
         name: Symbol,
         /// Added cases.
-        cases: Vec<(Symbol, Vec<Tactic>)>,
+        cases: Vec<(Symbol, Script)>,
     },
     /// `FTheorem`/`FLemma` — an opaque proof field.
     Theorem {
@@ -416,7 +484,7 @@ impl FamilyDef {
             motive,
             cases: cases
                 .into_iter()
-                .map(|(r, s)| (Symbol::new(r), s))
+                .map(|(r, s)| (Symbol::new(r), s.into()))
                 .collect(),
             hint: false,
         })
@@ -436,7 +504,7 @@ impl FamilyDef {
             motive,
             cases: cases
                 .into_iter()
-                .map(|(r, s)| (Symbol::new(r), s))
+                .map(|(r, s)| (Symbol::new(r), s.into()))
                 .collect(),
             hint: false,
         })
@@ -448,7 +516,7 @@ impl FamilyDef {
             name: Symbol::new(name),
             cases: cases
                 .into_iter()
-                .map(|(r, s)| (Symbol::new(r), s))
+                .map(|(r, s)| (Symbol::new(r), s.into()))
                 .collect(),
         })
     }
@@ -459,7 +527,7 @@ impl FamilyDef {
             name: Symbol::new(name),
             cases: cases
                 .into_iter()
-                .map(|(r, s)| (Symbol::new(r), s))
+                .map(|(r, s)| (Symbol::new(r), s.into()))
                 .collect(),
         })
     }
@@ -469,7 +537,7 @@ impl FamilyDef {
         self.field(Field::Theorem {
             name: Symbol::new(name),
             statement,
-            proof: ProofSpec::Script(script),
+            proof: ProofSpec::Script(script.into()),
             hint: false,
         })
     }
@@ -487,7 +555,7 @@ impl FamilyDef {
             name: Symbol::new(name),
             statement,
             proof: ProofSpec::ReproveOnExtend {
-                script,
+                script: script.into(),
                 depends_on: depends_on.iter().map(|s| Symbol::new(s)).collect(),
             },
             hint: true,
@@ -508,7 +576,7 @@ impl FamilyDef {
     pub fn override_theorem(self, name: &str, script: Vec<Tactic>) -> FamilyDef {
         self.field(Field::OverrideTheorem {
             name: Symbol::new(name),
-            proof: ProofSpec::Script(script),
+            proof: ProofSpec::Script(script.into()),
         })
     }
 

@@ -472,14 +472,14 @@ mod tests {
             sym("M1"),
             vec![Field::OverrideTheorem {
                 name: sym("thm"),
-                proof: ProofSpec::Script(vec![]),
+                proof: ProofSpec::Script(vec![].into()),
             }],
         );
         let m2 = (
             sym("M2"),
             vec![Field::OverrideTheorem {
                 name: sym("thm"),
-                proof: ProofSpec::Script(vec![]),
+                proof: ProofSpec::Script(vec![].into()),
             }],
         );
         let d = FamilyDef::extending_with("D", "Base", &["M1", "M2"]);
@@ -494,7 +494,7 @@ mod tests {
             sym("M1"),
             vec![Field::OverrideTheorem {
                 name: sym("thm"),
-                proof: ProofSpec::Script(vec![]),
+                proof: ProofSpec::Script(vec![].into()),
             }],
         );
         let d = FamilyDef::extending_with("D", "Base", &["M1"]).override_theorem("thm", vec![]);

@@ -56,6 +56,8 @@ use objlang::syntax::Prop;
 use objlang::tactic::Tactic;
 use trace::{Counter, Registry};
 
+use crate::family::Script;
+
 /// Cross-family proof cache (content-addressed).
 ///
 /// Reuse is sound for open-world proofs because the kernel forbids them
@@ -73,7 +75,7 @@ pub struct ProofCache {
 #[derive(Clone, Debug)]
 struct TheoremEntry {
     statement: Prop,
-    script: Vec<Tactic>,
+    script: Script,
     closed_world_key: Option<Vec<(Symbol, Vec<Symbol>)>>,
     /// Overridable-definition snapshot key (stable across processes, see
     /// [`crate::stable`]); retained so the entry can be re-bucketed when a
@@ -84,7 +86,7 @@ struct TheoremEntry {
 #[derive(Clone, Debug)]
 struct CaseEntry {
     sequent: Sequent,
-    script: Vec<Tactic>,
+    script: Script,
     proof: ProvedSequent,
     /// See [`TheoremEntry::okey`].
     okey: u64,
@@ -130,10 +132,12 @@ pub enum ExportEntry {
 // into a linear scan of a mis-filed entry list), and SipHash re-walks the
 // whole syntax tree per probe. The keys below are FNV-64 compositions of
 // the *precomputed* content digests the hash-consing arena caches per
-// node (`Prop::digest`, `Sort::digest`, `sym_digest`), so a bucket key is
-// O(hyps + script) with no term-tree traversal, and identical content
-// yields an identical key in every process, forever. The golden test at
-// the bottom of this file pins the key schema.
+// node (`Prop::digest`, `Sort::digest`, `sym_digest`) and of the script
+// digest, which each `Script` computes once, when the script is built.
+// A bucket key is therefore O(hyps) with no term-tree traversal and no
+// script rendering, and identical content yields an identical key in
+// every process, forever. The golden test at the bottom of this file pins
+// the key schema.
 // ---------------------------------------------------------------------------
 
 /// Content digest of a sequent: vars, hypotheses (names included — scripts
@@ -155,8 +159,9 @@ fn sequent_digest(seq: &Sequent) -> u64 {
 /// Content digest of a tactic script. `Tactic`'s `Debug` rendering is
 /// structural and prints symbols and terms by *name* (the export codec
 /// already relies on this for its total order), so hashing it is hashing
-/// content, not process state.
-fn script_digest(script: &[Tactic]) -> u64 {
+/// content, not process state. [`Script`] calls it once per script and
+/// stores the result; the bucket keys read that stored word.
+pub(crate) fn script_digest(script: &[Tactic]) -> u64 {
     let mut h = fnv_step(FNV_OFFSET, script.len() as u64);
     for t in script {
         h = fnv_step(h, fnv_str(&format!("{t:?}")));
@@ -165,16 +170,16 @@ fn script_digest(script: &[Tactic]) -> u64 {
 }
 
 /// Bucket key for a theorem entry.
-fn theorem_key(statement: &Prop, script: &[Tactic], okey: u64) -> u64 {
+fn theorem_key(statement: &Prop, script: &Script, okey: u64) -> u64 {
     let h = fnv_step(FNV_OFFSET, statement.digest());
-    let h = fnv_step(h, script_digest(script));
+    let h = fnv_step(h, script.digest());
     fnv_step(h, okey)
 }
 
 /// Bucket key for an induction-case entry.
-fn case_key(seq: &Sequent, script: &[Tactic], okey: u64) -> u64 {
+fn case_key(seq: &Sequent, script: &Script, okey: u64) -> u64 {
     let h = fnv_step(FNV_OFFSET, sequent_digest(seq));
-    let h = fnv_step(h, script_digest(script));
+    let h = fnv_step(h, script.digest());
     fnv_step(h, okey)
 }
 
@@ -202,7 +207,7 @@ impl ProofCache {
         &self,
         h: u64,
         statement: &Prop,
-        script: &[Tactic],
+        script: &Script,
         cw_key: &Option<Vec<(Symbol, Vec<Symbol>)>>,
         okey: u64,
     ) -> bool {
@@ -210,7 +215,7 @@ impl ProofCache {
             v.iter().any(|e| {
                 e.okey == okey
                     && e.statement == *statement
-                    && e.script == script
+                    && e.script == *script
                     && e.closed_world_key == *cw_key
             })
         })
@@ -219,7 +224,7 @@ impl ProofCache {
     fn insert_theorem(
         &mut self,
         statement: Prop,
-        script: Vec<Tactic>,
+        script: Script,
         cw_key: Option<Vec<(Symbol, Vec<Symbol>)>>,
         okey: u64,
     ) {
@@ -231,7 +236,7 @@ impl ProofCache {
         &mut self,
         h: u64,
         statement: Prop,
-        script: Vec<Tactic>,
+        script: Script,
         cw_key: Option<Vec<(Symbol, Vec<Symbol>)>>,
         okey: u64,
     ) {
@@ -251,17 +256,17 @@ impl ProofCache {
         &self,
         h: u64,
         seq: &Sequent,
-        script: &[Tactic],
+        script: &Script,
         okey: u64,
     ) -> Option<ProvedSequent> {
         self.cases.get(&h).and_then(|v| {
             v.iter()
-                .find(|e| e.okey == okey && e.sequent == *seq && e.script == script)
+                .find(|e| e.okey == okey && e.sequent == *seq && e.script == *script)
                 .map(|e| e.proof.clone())
         })
     }
 
-    fn insert_case(&mut self, seq: Sequent, script: Vec<Tactic>, proof: ProvedSequent, okey: u64) {
+    fn insert_case(&mut self, seq: Sequent, script: Script, proof: ProvedSequent, okey: u64) {
         let h = case_key(&seq, &script, okey);
         self.insert_case_keyed(h, seq, script, proof, okey);
     }
@@ -270,7 +275,7 @@ impl ProofCache {
         &mut self,
         h: u64,
         seq: Sequent,
-        script: Vec<Tactic>,
+        script: Script,
         proof: ProvedSequent,
         okey: u64,
     ) {
@@ -296,7 +301,7 @@ impl ProofCache {
             for e in v {
                 out.push(ExportEntry::Theorem {
                     statement: e.statement.clone(),
-                    script: e.script.clone(),
+                    script: e.script.to_vec(),
                     closed_world_key: e.closed_world_key.clone(),
                     okey: e.okey,
                 });
@@ -306,7 +311,7 @@ impl ProofCache {
             for e in v {
                 out.push(ExportEntry::Case {
                     sequent: e.sequent.clone(),
-                    script: e.script.clone(),
+                    script: e.script.to_vec(),
                     okey: e.okey,
                 });
             }
@@ -336,7 +341,7 @@ impl ProofCache {
             for e in v.iter().skip(from) {
                 out.push(ExportEntry::Theorem {
                     statement: e.statement.clone(),
-                    script: e.script.clone(),
+                    script: e.script.to_vec(),
                     closed_world_key: e.closed_world_key.clone(),
                     okey: e.okey,
                 });
@@ -347,7 +352,7 @@ impl ProofCache {
             for e in v.iter().skip(from) {
                 out.push(ExportEntry::Case {
                     sequent: e.sequent.clone(),
-                    script: e.script.clone(),
+                    script: e.script.to_vec(),
                     okey: e.okey,
                 });
             }
@@ -365,14 +370,14 @@ impl ProofCache {
                 script,
                 closed_world_key,
                 okey,
-            } => self.insert_theorem(statement, script, closed_world_key, okey),
+            } => self.insert_theorem(statement, script.into(), closed_world_key, okey),
             ExportEntry::Case {
                 sequent,
                 script,
                 okey,
             } => {
                 let proof = ProvedSequent::assume_checked(sequent.clone());
-                self.insert_case(sequent, script, proof, okey);
+                self.insert_case(sequent, script.into(), proof, okey);
             }
         }
     }
@@ -821,38 +826,14 @@ impl Session {
     /// warm-restart acceptance test pins `misses == 0 && inserts == 0`
     /// after a fully warm rebuild.
     pub fn import(&self, entries: impl IntoIterator<Item = ExportEntry>) -> usize {
-        // Group by shard so each shard's lock is taken once.
-        let mut groups: Vec<Vec<ExportEntry>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        // Key every entry once, into a staging cache that drops in-batch
+        // duplicates; the merge then takes each shard's lock once and
+        // skips entries already present.
+        let mut staged = ProofCache::new();
         for e in entries {
-            let h = match &e {
-                ExportEntry::Theorem {
-                    statement,
-                    script,
-                    okey,
-                    ..
-                } => theorem_key(statement, script, *okey),
-                ExportEntry::Case {
-                    sequent,
-                    script,
-                    okey,
-                } => case_key(sequent, script, *okey),
-            };
-            groups[(h % self.shards.len() as u64) as usize].push(e);
+            staged.import_entry(e);
         }
-        let mut admitted = 0usize;
-        for (i, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut cache = self.shards[i].write().expect("session cache poisoned");
-            let before = cache.len();
-            for e in group {
-                cache.import_entry(e);
-            }
-            admitted += cache.len() - before;
-        }
-        admitted
+        self.merge_overlay(staged) as usize
     }
 
     /// Merges an overlay into the sharded store; returns the number of
@@ -997,7 +978,7 @@ impl CacheTxn {
     pub(crate) fn lookup_theorem(
         &mut self,
         statement: &Prop,
-        script: &[Tactic],
+        script: &Script,
         cw_key: &Option<Vec<(Symbol, Vec<Symbol>)>>,
         okey: u64,
     ) -> bool {
@@ -1025,7 +1006,7 @@ impl CacheTxn {
     pub(crate) fn insert_theorem(
         &mut self,
         statement: Prop,
-        script: Vec<Tactic>,
+        script: Script,
         cw_key: Option<Vec<(Symbol, Vec<Symbol>)>>,
         okey: u64,
     ) {
@@ -1036,7 +1017,7 @@ impl CacheTxn {
     pub(crate) fn lookup_case(
         &mut self,
         seq: &Sequent,
-        script: &[Tactic],
+        script: &Script,
         okey: u64,
     ) -> Option<ProvedSequent> {
         let h = case_key(seq, script, okey);
@@ -1064,7 +1045,7 @@ impl CacheTxn {
     pub(crate) fn insert_case(
         &mut self,
         seq: Sequent,
-        script: Vec<Tactic>,
+        script: Script,
         proof: ProvedSequent,
         okey: u64,
     ) {
@@ -1167,17 +1148,17 @@ mod tests {
     fn txn_buffers_until_commit() {
         let s = Session::new();
         let mut t1 = s.begin();
-        assert!(!t1.lookup_theorem(&p(1), &[], &None, 0));
-        t1.insert_theorem(p(1), vec![], None, 0);
+        assert!(!t1.lookup_theorem(&p(1), &Script::from(vec![]), &None, 0));
+        t1.insert_theorem(p(1), Script::from(vec![]), None, 0);
         // Visible to the inserting txn…
-        assert!(t1.lookup_theorem(&p(1), &[], &None, 0));
+        assert!(t1.lookup_theorem(&p(1), &Script::from(vec![]), &None, 0));
         // …but not to a sibling before commit.
         let mut t2 = s.begin();
-        assert!(!t2.lookup_theorem(&p(1), &[], &None, 0));
+        assert!(!t2.lookup_theorem(&p(1), &Script::from(vec![]), &None, 0));
         t2.commit();
         t1.commit();
         let mut t3 = s.begin();
-        assert!(t3.lookup_theorem(&p(1), &[], &None, 0));
+        assert!(t3.lookup_theorem(&p(1), &Script::from(vec![]), &None, 0));
         t3.commit();
         assert_eq!(s.cached_proofs(), 1);
         let st = s.snapshot_stats();
@@ -1189,10 +1170,10 @@ mod tests {
     fn dropped_txn_discards_inserts() {
         let s = Session::new();
         let mut t = s.begin();
-        t.insert_theorem(p(2), vec![], None, 0);
+        t.insert_theorem(p(2), Script::from(vec![]), None, 0);
         drop(t);
         let mut t2 = s.begin();
-        assert!(!t2.lookup_theorem(&p(2), &[], &None, 0));
+        assert!(!t2.lookup_theorem(&p(2), &Script::from(vec![]), &None, 0));
         assert_eq!(s.cached_proofs(), 0);
         t2.commit();
     }
@@ -1202,8 +1183,8 @@ mod tests {
         let s = Session::new();
         let mut a = s.begin();
         let mut b = s.begin();
-        a.insert_theorem(p(3), vec![], None, 7);
-        b.insert_theorem(p(3), vec![], None, 7);
+        a.insert_theorem(p(3), Script::from(vec![]), None, 7);
+        b.insert_theorem(p(3), Script::from(vec![]), None, 7);
         a.commit();
         b.commit();
         assert_eq!(s.cached_proofs(), 1, "racing identical proofs dedupe");
@@ -1214,12 +1195,12 @@ mod tests {
     fn okey_partitions_entries() {
         let s = Session::new();
         let mut t = s.begin();
-        t.insert_theorem(p(4), vec![], None, 1);
+        t.insert_theorem(p(4), Script::from(vec![]), None, 1);
         t.commit();
         let mut t2 = s.begin();
-        assert!(t2.lookup_theorem(&p(4), &[], &None, 1));
+        assert!(t2.lookup_theorem(&p(4), &Script::from(vec![]), &None, 1));
         assert!(
-            !t2.lookup_theorem(&p(4), &[], &None, 2),
+            !t2.lookup_theorem(&p(4), &Script::from(vec![]), &None, 2),
             "a different overridable-definition snapshot must miss"
         );
         t2.commit();
@@ -1229,14 +1210,14 @@ mod tests {
     fn cross_thread_session_sharing() {
         let s = Session::new();
         let mut t = s.begin();
-        t.insert_theorem(p(5), vec![], None, 0);
+        t.insert_theorem(p(5), Script::from(vec![]), None, 0);
         t.commit();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = Arc::clone(&s);
                 scope.spawn(move || {
                     let mut txn = s.begin();
-                    assert!(txn.lookup_theorem(&p(5), &[], &None, 0));
+                    assert!(txn.lookup_theorem(&p(5), &Script::from(vec![]), &None, 0));
                     txn.commit();
                 });
             }
@@ -1248,17 +1229,17 @@ mod tests {
     fn export_import_roundtrip() {
         let s = Session::new();
         let mut t = s.begin();
-        t.insert_theorem(p(9), vec![Tactic::Reflexivity], None, 42);
+        t.insert_theorem(p(9), Script::from(vec![Tactic::Reflexivity]), None, 42);
         t.insert_theorem(
             p(10),
-            vec![],
+            Script::from(vec![]),
             Some(vec![(Symbol::new("t"), vec![Symbol::new("t_one")])]),
             7,
         );
         let seq = Sequent::closed(p(11));
         t.insert_case(
             seq.clone(),
-            vec![Tactic::Reflexivity],
+            Script::from(vec![Tactic::Reflexivity]),
             ProvedSequent::assume_checked(seq.clone()),
             3,
         );
@@ -1276,18 +1257,20 @@ mod tests {
         assert_eq!(s2.import(entries), 0);
 
         let mut t2 = s2.begin();
-        assert!(t2.lookup_theorem(&p(9), &[Tactic::Reflexivity], &None, 42));
+        assert!(t2.lookup_theorem(&p(9), &Script::from(vec![Tactic::Reflexivity]), &None, 42));
         assert!(
-            !t2.lookup_theorem(&p(9), &[Tactic::Reflexivity], &None, 43),
+            !t2.lookup_theorem(&p(9), &Script::from(vec![Tactic::Reflexivity]), &None, 43),
             "okey still partitions imported entries"
         );
         assert!(t2.lookup_theorem(
             &p(10),
-            &[],
+            &Script::from(vec![]),
             &Some(vec![(Symbol::new("t"), vec![Symbol::new("t_one")])]),
             7,
         ));
-        assert!(t2.lookup_case(&seq, &[Tactic::Reflexivity], 3).is_some());
+        assert!(t2
+            .lookup_case(&seq, &Script::from(vec![Tactic::Reflexivity]), 3)
+            .is_some());
         t2.commit();
     }
 
@@ -1297,7 +1280,7 @@ mod tests {
             let s = Session::new();
             let mut t = s.begin();
             for i in 0..32 {
-                t.insert_theorem(p(i), vec![], None, i);
+                t.insert_theorem(p(i), Script::from(vec![]), None, i);
             }
             t.commit();
             s.export()
@@ -1316,12 +1299,17 @@ mod tests {
             let mut t = s.begin();
             for i in 0..16u32 {
                 // Same statement, same okey; only the script differs.
-                t.insert_theorem(p(0), vec![Tactic::IntroAs(format!("h{i}"))], None, 0);
+                t.insert_theorem(
+                    p(0),
+                    Script::from(vec![Tactic::IntroAs(format!("h{i}"))]),
+                    None,
+                    0,
+                );
                 // Same statement, script and okey; only the closed-world
                 // key differs.
                 t.insert_theorem(
                     p(0),
-                    vec![],
+                    Script::from(vec![]),
                     Some(vec![(Symbol::new(&format!("ty{i}")), vec![])]),
                     0,
                 );
@@ -1339,7 +1327,7 @@ mod tests {
         let s = Session::new();
         let mut t = s.begin();
         for i in 0..8 {
-            t.insert_theorem(p(60 + i), vec![], None, i);
+            t.insert_theorem(p(60 + i), Script::from(vec![]), None, i);
         }
         t.commit();
         let before = s.export();
@@ -1350,8 +1338,8 @@ mod tests {
         for i in 0..8 {
             // Half collide with marked buckets (same statement, new
             // script), half land in fresh buckets.
-            t2.insert_theorem(p(60 + i), vec![Tactic::Trivial], None, i);
-            t2.insert_theorem(p(80 + i), vec![], None, i);
+            t2.insert_theorem(p(60 + i), Script::from(vec![Tactic::Trivial]), None, i);
+            t2.insert_theorem(p(80 + i), Script::from(vec![]), None, i);
         }
         t2.commit();
         let delta = s.export_since(&mark);
@@ -1371,8 +1359,8 @@ mod tests {
     fn snapshot_stats_mirrors_counters_and_store() {
         let s = Session::new();
         let mut t = s.begin();
-        assert!(!t.lookup_theorem(&p(20), &[], &None, 0));
-        t.insert_theorem(p(20), vec![], None, 0);
+        assert!(!t.lookup_theorem(&p(20), &Script::from(vec![]), &None, 0));
+        t.insert_theorem(p(20), Script::from(vec![]), None, 0);
         t.commit();
         let snap = s.snapshot_stats();
         assert_eq!(snap.misses, 1);
@@ -1399,11 +1387,20 @@ mod tests {
         let seq = Sequent::closed(goal);
         let s = Session::new();
         let mut t = s.begin();
-        assert!(t.lookup_case(&seq, &[Tactic::Reflexivity], 0).is_none());
-        t.insert_case(seq.clone(), vec![Tactic::Reflexivity], proved, 0);
+        assert!(t
+            .lookup_case(&seq, &Script::from(vec![Tactic::Reflexivity]), 0)
+            .is_none());
+        t.insert_case(
+            seq.clone(),
+            Script::from(vec![Tactic::Reflexivity]),
+            proved,
+            0,
+        );
         t.commit();
         let mut t2 = s.begin();
-        assert!(t2.lookup_case(&seq, &[Tactic::Reflexivity], 0).is_some());
+        assert!(t2
+            .lookup_case(&seq, &Script::from(vec![Tactic::Reflexivity]), 0)
+            .is_some());
         t2.commit();
     }
 
@@ -1413,7 +1410,7 @@ mod tests {
         // same bucket; any component change moves the key.
         let stmt = Prop::eq(Term::c0("gk_zero"), Term::c0("gk_zero"));
         let stmt2 = Prop::eq(Term::c0("gk_zero"), Term::c0("gk_zero"));
-        let script = vec![Tactic::Reflexivity];
+        let script = Script::from(vec![Tactic::Reflexivity]);
         assert_eq!(
             theorem_key(&stmt, &script, 9),
             theorem_key(&stmt2, &script, 9)
@@ -1424,7 +1421,7 @@ mod tests {
         );
         assert_ne!(
             theorem_key(&stmt, &script, 9),
-            theorem_key(&stmt, &[Tactic::Trivial], 9)
+            theorem_key(&stmt, &Script::from(vec![Tactic::Trivial]), 9)
         );
         let seq = Sequent::closed(stmt);
         assert_ne!(case_key(&seq, &script, 9), theorem_key(&stmt2, &script, 9));
@@ -1439,7 +1436,7 @@ mod tests {
         // composition order, script rendering) into a test failure
         // instead of a silent cache-hit-rate regression.
         let stmt = Prop::eq(Term::c0("tm_unit"), Term::c0("tm_unit"));
-        let script = vec![Tactic::Reflexivity];
+        let script = Script::from(vec![Tactic::Reflexivity]);
         let seq = Sequent::closed(stmt);
         assert_eq!(theorem_key(&stmt, &script, 0), 0xf93c5dc3dfb75884);
         assert_eq!(case_key(&seq, &script, 0), 0x740111fbcfe1317b);
@@ -1448,25 +1445,47 @@ mod tests {
     }
 
     #[test]
+    fn script_stores_its_digest_and_renders_as_its_tactics() {
+        // The bucket keys read the stored digest and the export order
+        // renders scripts with `{:?}`, so both must be exactly what the
+        // bare tactic list gives.
+        let scripts = [
+            vec![],
+            vec![Tactic::Reflexivity],
+            vec![
+                Tactic::IntroAs("h".into()),
+                Tactic::Exists(Term::c0("tm_unit")),
+                Tactic::Trivial,
+            ],
+        ];
+        for tactics in scripts {
+            let script = Script::from(tactics.clone());
+            assert_eq!(script.digest(), script_digest(&tactics));
+            assert_eq!(format!("{script:?}"), format!("{tactics:?}"));
+            assert_eq!(format!("{script:#?}"), format!("{tactics:#?}"));
+        }
+    }
+
+    #[test]
     fn fragment_reads_see_ancestor_overlays_before_commit() {
         let s = Session::new();
         let mut ancestor = s.begin();
-        ancestor.insert_theorem(p(30), vec![], None, 0);
+        ancestor.insert_theorem(p(30), Script::from(vec![]), None, 0);
         let parts = ancestor.into_parts();
         // A transaction opened WITH the ancestor's fragment hits …
         let mut child = s.begin_with_reads(vec![Arc::clone(parts.overlay())]);
-        assert!(child.lookup_theorem(&p(30), &[], &None, 0));
+        assert!(child.lookup_theorem(&p(30), &Script::from(vec![]), &None, 0));
         // … while a sibling without the fragment misses (nothing is in
         // the shared store yet — the ancestor never committed).
         let mut stranger = s.begin();
-        assert!(!stranger.lookup_theorem(&p(30), &[], &None, 0));
+        assert!(!stranger.lookup_theorem(&p(30), &Script::from(vec![]), &None, 0));
         assert_eq!(s.cached_proofs(), 0);
         // Deferred canonical-order commit publishes the proof and the
         // tallies exactly once.
         assert_eq!(s.commit_parts(&parts), 1);
         assert_eq!(s.cached_proofs(), 1);
         let mut later = s.begin();
-        assert!(later.lookup_theorem(&p(30), &[], &None, 0));
+        assert!(later.lookup_theorem(&p(30), &Script::from(vec![]), &None, 0));
         later.commit();
         child.commit();
         stranger.commit();
@@ -1478,8 +1497,13 @@ mod tests {
         let seed = |s: &Arc<Session>| {
             let mut t = s.begin();
             for i in 0..8 {
-                t.insert_theorem(p(40 + i), vec![Tactic::Reflexivity], None, i);
-                assert!(t.lookup_theorem(&p(40 + i), &[Tactic::Reflexivity], &None, i));
+                t.insert_theorem(p(40 + i), Script::from(vec![Tactic::Reflexivity]), None, i);
+                assert!(t.lookup_theorem(
+                    &p(40 + i),
+                    &Script::from(vec![Tactic::Reflexivity]),
+                    &None,
+                    i
+                ));
             }
             t
         };
@@ -1503,19 +1527,19 @@ mod tests {
             let s = Session::with_shards(shards);
             let mut t = s.begin();
             for i in 0..64 {
-                t.insert_theorem(p(i), vec![Tactic::Reflexivity], None, i % 3);
+                t.insert_theorem(p(i), Script::from(vec![Tactic::Reflexivity]), None, i % 3);
                 let seq = Sequent::closed(p(i));
                 t.insert_case(
                     seq.clone(),
-                    vec![Tactic::Reflexivity],
+                    Script::from(vec![Tactic::Reflexivity]),
                     ProvedSequent::assume_checked(seq),
                     i % 3,
                 );
             }
             t.commit();
             let mut t2 = s.begin();
-            assert!(t2.lookup_theorem(&p(0), &[Tactic::Reflexivity], &None, 0));
-            assert!(!t2.lookup_theorem(&p(0), &[Tactic::Reflexivity], &None, 9));
+            assert!(t2.lookup_theorem(&p(0), &Script::from(vec![Tactic::Reflexivity]), &None, 0));
+            assert!(!t2.lookup_theorem(&p(0), &Script::from(vec![Tactic::Reflexivity]), &None, 9));
             t2.commit();
             (s.export(), s.snapshot_stats(), s.cached_proofs())
         };
@@ -1533,7 +1557,7 @@ mod tests {
         let s = Session::with_shards(7);
         let mut t = s.begin();
         for i in 0..32 {
-            t.insert_theorem(p(i), vec![], None, i);
+            t.insert_theorem(p(i), Script::from(vec![]), None, i);
         }
         t.commit();
         let entries = s.export();

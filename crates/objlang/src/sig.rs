@@ -11,6 +11,7 @@
 //! partial-recursor registrations license `finjection`/`fdiscriminate`
 //! (Section 3.6).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -740,6 +741,20 @@ impl Signature {
             .datatypes
             .get(&f.rec_sort)
             .ok_or_else(|| Error::new(format!("unknown recursion sort {}", f.rec_sort)))?;
+        // Case bodies are sort-checked with the function visible: declared
+        // abstractly in one scratch copy for all cases, or as it already is
+        // (a family closing its late-bound recursion re-checks it so).
+        let mut sorts = Cow::Borrowed(self);
+        if !self.fns.contains_key(&f.name) {
+            sorts.to_mut().fns.insert(
+                f.name,
+                FnDef::Abstract {
+                    name: f.name,
+                    params: f.param_sorts(),
+                    ret: f.ret,
+                },
+            );
+        }
         for case in &f.cases {
             let ctor = dt
                 .ctors
@@ -772,17 +787,7 @@ impl Signature {
                 vars.insert(*v, *s);
             }
             self.check_structural_calls(f, &case.body, &rec_vars)?;
-            // Sort-check with the function temporarily visible.
-            let mut scratch = self.clone();
-            scratch
-                .fns
-                .entry(f.name)
-                .or_insert_with(|| FnDef::Abstract {
-                    name: f.name,
-                    params: f.param_sorts(),
-                    ret: f.ret,
-                });
-            scratch.check_term(&vars, &case.body, f.ret)?;
+            sorts.check_term(&vars, &case.body, f.ret)?;
         }
         Ok(())
     }
@@ -995,6 +1000,27 @@ mod tests {
             }],
         };
         assert!(s.check_recfn(&bad).is_err());
+        let ill_sorted = RecFn {
+            cases: vec![RecCase {
+                ctor: sym("succ"),
+                arg_vars: vec![sym("n")],
+                body: Term::lit("x"),
+            }],
+            ..bad.clone()
+        };
+        // A family closing its recursion re-checks it with `loop` already
+        // declared abstractly: that check runs on the signature itself,
+        // without a scratch copy, and must reject the same inputs.
+        let mut declared = nat_sig();
+        declared
+            .add_fn(FnDef::Abstract {
+                name: sym("loop"),
+                params: bad.param_sorts(),
+                ret: bad.ret,
+            })
+            .unwrap();
+        assert!(declared.check_recfn(&bad).is_err());
+        assert!(declared.check_recfn(&ill_sorted).is_err());
     }
 
     #[test]
