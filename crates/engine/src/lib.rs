@@ -95,7 +95,7 @@ pub mod term_parse;
 pub use diff::{apply_diff, decode_diff, encode_diff, snapshot_digest, DiffError};
 pub use engine::{Engine, EngineConfig, EngineMetrics, SlowEntry, Ticket};
 pub use queue::{PrioQueue, PushError};
-pub use request::{EngineError, Priority, Request, Response};
+pub use request::{EngineError, LatticeLedger, Priority, Request, Response};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot, write_snapshot, SnapshotError,
 };

@@ -45,7 +45,7 @@ fn build_full(engine: &Engine) -> CheckLedger {
         Response::Lattice { report, ledger } => {
             // Base STLC + 15 feature combinations (the Venn diagram).
             assert_eq!(report.rows.len(), 16, "base + 15 Venn variants");
-            ledger
+            ledger.merged().clone()
         }
         other => panic!("expected Lattice response, got {other:?}"),
     }

@@ -23,8 +23,9 @@
 //!   re-proving only the fingerprint-dirty cone;
 //! * [`redefine`] — the engine's `redefine <family> <field>`: one variant
 //!   of a plan touched, validated before any work runs. It reuses the
-//!   plan's merges as they are, so a redefine pays for its delta and not
-//!   for planning the lattice again.
+//!   plan's merges as they are and returns the variants' memo entries
+//!   instead of a universe, so a redefine pays for its delta and not for
+//!   planning, registering or adopting the lattice again.
 //!
 //! All three run the same [`fpop::sched::TaskDag`]: every field of every
 //! variant is a node, with chain edges inside each variant (fields check
@@ -36,21 +37,22 @@
 //! environment seeded with its prerequisites' module deltas and reads
 //! their uncommitted proof fragments through
 //! [`fpop::Session::begin_with_reads`]; *nothing* commits during the run.
-//! Afterwards the coordinator commits every variant in canonical order, so
-//! reports, ledgers, and the session contents are bit-for-bit what
-//! defining the variants one by one in plan order produces — whatever
-//! order the workers actually ran in.
+//! Afterwards the coordinator commits every variant's proofs in canonical
+//! order, and [`build`] and [`rebuild`] register its modules and adopt its
+//! family into their universe in that order, so reports, ledgers, and the
+//! session contents are bit-for-bit what defining the variants one by one
+//! in plan order produces — whatever order the workers actually ran in.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fpop::elab::FieldElab;
 use fpop::family::FamilyDef;
-use fpop::incr::{self, IncrOutcome};
+use fpop::incr::{self, IncrMemo, IncrOutcome};
 use fpop::merge::MergedFamily;
 use fpop::sched::{SchedError, TaskDag};
 use fpop::session::{CacheTxn, Session};
-use fpop::universe::FamilyUniverse;
+use fpop::universe::{warm_code_cache, FamilyUniverse};
 use modsys::{CheckLedger, ModuleEnv};
 use objlang::error::{Error, Result};
 
@@ -376,7 +378,7 @@ enum Via {
 /// was satisfied. Fresh elaborations and memo replays share the same
 /// `Arc` — serving a variant from the memo is pointer-cheap.
 struct VariantDone {
-    memo: Arc<incr::IncrMemo>,
+    memo: Arc<IncrMemo>,
     via: Via,
 }
 
@@ -435,13 +437,20 @@ enum MemoMode {
 /// recommit their recorded parts via
 /// [`fpop::Session::commit_parts_replayed`], so ledgers and reports stay
 /// bit-for-bit equal to a from-scratch build's.
+///
+/// Each variant elaborates in a world of `base_env` plus its
+/// prerequisites' module deltas. The build commits proofs to `session`
+/// and returns every variant's memo entry in plan order; it registers no
+/// module and adopts no family. [`adopt`] does that for callers that keep
+/// a universe.
 fn build_dag(
-    u: &mut FamilyUniverse,
+    session: &Arc<Session>,
+    base_env: &ModuleEnv,
     plan: &[PlanEntry],
     merged: &[MergedFamily],
     mode: MemoMode,
     workers: usize,
-) -> Result<(LatticeReport, IncrOutcome)> {
+) -> Result<(Vec<Arc<IncrMemo>>, LatticeReport, IncrOutcome)> {
     let n = plan.len();
     debug_assert_eq!(merged.len(), n);
     let (consult, forced) = match mode {
@@ -462,8 +471,6 @@ fn build_dag(
                 .collect()
         })
         .collect();
-
-    let session = u.session().clone();
 
     // Static dirty-cone seeding (Consult mode): walk the plan in order and
     // prefill every variant whose fingerprint is already computable — all
@@ -525,7 +532,6 @@ fn build_dag(
         }
     }
 
-    let base_env = u.modenv.clone();
     let states: Vec<Mutex<VariantRun<'_>>> = prefill
         .into_iter()
         .map(|p| {
@@ -583,9 +589,13 @@ fn build_dag(
                 }
                 // Fingerprint miss (or forced): assemble the detached
                 // world — the pre-build environment plus every
-                // prerequisite's module delta, and a transaction reading
+                // prerequisite's modules, and a transaction reading
                 // through the prerequisites' uncommitted proof fragments.
+                // The world's ledger starts empty (splicing a delta merges
+                // no ledger), so it and the module mark cover exactly this
+                // variant's own work.
                 let mut env = base_env.clone();
+                env.ledger = CheckLedger::new();
                 let mut reads = Vec::with_capacity(deps[v].len());
                 for &d in &deps[v] {
                     let dep = states[d].lock().expect("variant state poisoned");
@@ -594,10 +604,6 @@ fn build_dag(
                         .map_err(|e| Error::new(e.to_string()))?;
                     reads.push(done.memo.parts.overlay().clone());
                 }
-                // Reset accounting *after* the dep deltas land, so the
-                // ledger and the module mark cover exactly this variant's
-                // own work.
-                env.ledger = CheckLedger::new();
                 st.mark = env.mark();
                 st.txn = Some(session.begin_with_reads(reads));
                 st.env = Some(env);
@@ -616,10 +622,13 @@ fn build_dag(
                     let elab = st.elab.take().expect("chain edge ran init");
                     let mut env = st.env.take().expect("env lives until finish");
                     let compiled = elab.finish(&mut env)?;
+                    // Warm the code cache where the family is compiled; a
+                    // later build serving it from the memo does not.
+                    warm_code_cache(session, &compiled);
                     let delta = env.delta_since(st.mark);
                     let parts = st.txn.take().expect("txn lives until finish").into_parts();
                     let out_digest = incr::output_digest(&delta);
-                    let memo = Arc::new(incr::IncrMemo {
+                    let memo = Arc::new(IncrMemo {
                         compiled: Arc::new(compiled),
                         delta,
                         parts,
@@ -644,19 +653,17 @@ fn build_dag(
         .record(session.registry());
     }
 
-    // Deterministic canonical-order commit: the universe, its ledger, and
-    // the shared session evolve exactly as when defining the variants one
-    // by one in plan order, whatever order the workers actually ran in.
-    // Memo-served variants recommit their recorded parts idempotently,
-    // replaying all lookups as hits (no proof work was paid this build).
+    // Deterministic canonical-order commit: the shared session and the
+    // report evolve exactly as when defining the variants one by one in
+    // plan order, whatever order the workers actually ran in. Memo-served
+    // variants recommit their recorded parts idempotently, replaying all
+    // lookups as hits (no proof work was paid this build).
+    let mut memos = Vec::with_capacity(n);
     let mut report = LatticeReport::default();
     let mut outcome = IncrOutcome::default();
     for (entry, state) in plan.iter().zip(states) {
         let run = state.into_inner().expect("variant state poisoned");
         let done = run.done.expect("every variant finished");
-        u.modenv
-            .apply_delta(&done.memo.delta)
-            .map_err(|e| Error::new(e.to_string()))?;
         match done.via {
             Via::Ran => {
                 session.commit_parts(&done.memo.parts);
@@ -681,12 +688,27 @@ fn build_dag(
             reuse_ratio: done.memo.compiled.ledger.reuse_ratio(),
             elapsed: run.elapsed,
         });
-        u.adopt_arc(Arc::clone(&done.memo.compiled))?;
+        memos.push(done.memo);
     }
     if consult {
         session.incr_memos().count(&outcome);
     }
-    Ok((report, outcome))
+    Ok((memos, report, outcome))
+}
+
+/// Puts a build's variants into `u`, in plan order: registers each
+/// memo's modules in `u.modenv`, absorbs the ledger of that registration
+/// work, and adopts the compiled family. The same environment and families
+/// as defining the variants one by one into `u`.
+fn adopt(u: &mut FamilyUniverse, memos: &[Arc<IncrMemo>]) -> Result<()> {
+    for memo in memos {
+        u.modenv
+            .apply_delta(&memo.delta)
+            .map_err(|e| Error::new(e.to_string()))?;
+        u.modenv.ledger.absorb(&memo.delta.ledger);
+        u.adopt_arc(Arc::clone(&memo.compiled))?;
+    }
+    Ok(())
 }
 
 /// Cold build of `plan`'s sub-lattice into `u`, on `workers` scheduler
@@ -709,7 +731,16 @@ pub fn build(u: &mut FamilyUniverse, plan: &Plan, workers: usize) -> Result<Latt
         return Err(Error::new(format!("family {} is already defined", m.name))
             .with_context(format!("planning family {}", m.name)));
     }
-    Ok(build_dag(u, &plan.rows, &plan.merges, MemoMode::Record, workers)?.0)
+    let (memos, report, _) = build_dag(
+        u.session(),
+        &u.modenv,
+        &plan.rows,
+        &plan.merges,
+        MemoMode::Record,
+        workers,
+    )?;
+    adopt(u, &memos)?;
+    Ok(report)
 }
 
 /// The sub-lattice vernacular in canonical plan order — the definition
@@ -787,26 +818,28 @@ pub fn rebuild(
         check_variant(&plan, features, name)?;
     }
     let merged = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    incr_build(prev.session(), &plan, &merged, touch, workers)
+    let (memos, report, outcome) = incr_build(prev.session(), &plan, &merged, touch, workers)?;
+    let mut next = FamilyUniverse::with_session(Arc::clone(prev.session()));
+    adopt(&mut next, &memos)?;
+    Ok((next, report, outcome))
 }
 
-/// Shared tail of [`rebuild`] and [`redefine`]: seeds the forced set from
+/// Shared core of [`rebuild`] and [`redefine`]: seeds the forced set from
 /// `touch` and runs the consult-mode DAG build over merged rows on
-/// `session`, into a fresh universe.
+/// `session`, from an empty module environment.
 fn incr_build(
     session: &Arc<Session>,
     plan: &[PlanEntry],
     merged: &[MergedFamily],
     touch: &[&str],
     workers: usize,
-) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
+) -> Result<(Vec<Arc<IncrMemo>>, LatticeReport, IncrOutcome)> {
     let forced: Vec<bool> = plan
         .iter()
         .map(|p| touch.contains(&p.def.name.as_str()))
         .collect();
-    let mut next = FamilyUniverse::with_session(Arc::clone(session));
-    let (report, outcome) = build_dag(&mut next, plan, merged, MemoMode::Consult(forced), workers)?;
-    Ok((next, report, outcome))
+    let mode = MemoMode::Consult(forced);
+    build_dag(session, &ModuleEnv::new(), plan, merged, mode, workers)
 }
 
 /// `redefine <family> <field>` — the engine's recheck entry point.
@@ -816,8 +849,14 @@ fn incr_build(
 /// elaboration memo is the only state it reads: no universe, no replan.
 /// Validates that `family` is a variant of the plan and that `field`
 /// exists in its merged view (inherited fields are redefinable too)
-/// before any work runs. Returns the freshly built universe (on
-/// `session`), the report, and the per-variant [`IncrOutcome`] tally.
+/// before any work runs.
+///
+/// Returns what the build produced, not a universe: every variant's memo
+/// entry in plan order (its compiled family, module delta and proof
+/// parts, whether it re-ran or was served from the memo), the report, and
+/// the per-variant [`IncrOutcome`] tally. The proofs are committed to
+/// `session`; no module is registered and no family adopted, so a
+/// redefine pays for the variants it re-ran and not for the lattice.
 ///
 /// # Errors
 ///
@@ -829,7 +868,7 @@ pub fn redefine(
     family: &str,
     field: &str,
     workers: usize,
-) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
+) -> Result<(Vec<Arc<IncrMemo>>, LatticeReport, IncrOutcome)> {
     check_variant(&plan.rows, &plan.features, family)?;
     let m = plan
         .merges
@@ -847,6 +886,7 @@ pub fn redefine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpop::elab::CompiledFamily;
 
     #[test]
     fn variant_names() {
@@ -932,13 +972,14 @@ mod tests {
         assert!(next.family("STLCFixProd").is_some());
     }
 
-    /// Every family of `u` compiled from the plan's merge of its name:
-    /// it shares the merge's field list and name set, so nothing was
-    /// merged again.
-    fn compiled_from(plan: &Plan, u: &FamilyUniverse) {
-        assert_eq!(u.names().len(), plan.merges().len());
-        for m in plan.merges() {
-            let c = u.family(m.name.as_str()).unwrap();
+    /// Each family, in plan order, compiled from the plan's merge of its
+    /// name: it shares the merge's field list and name set, so nothing
+    /// was merged again.
+    fn compiled_from<'a>(plan: &Plan, families: impl Iterator<Item = &'a Arc<CompiledFamily>>) {
+        let families: Vec<_> = families.collect();
+        assert_eq!(families.len(), plan.merges().len());
+        for (m, c) in plan.merges().iter().zip(families) {
+            assert_eq!(c.name, m.name);
             assert!(Arc::ptr_eq(&m.fields, &c.fields), "{}", m.name);
             assert!(Arc::ptr_eq(&m.extended_names, &c.extended_names));
             assert_eq!(c.src_digest, m.src_digest, "{}", m.name);
@@ -951,7 +992,7 @@ mod tests {
         let plan = Plan::new(&Feature::all()).unwrap();
         build(&mut u, &plan, 1).unwrap();
         assert_eq!(plan.merges().len(), 16);
-        compiled_from(&plan, &u);
+        compiled_from(&plan, u.families());
         for m in plan.merges() {
             let recomputed = incr::source_digest(m.name, m.base, &m.fields);
             assert_eq!(m.src_digest, recomputed, "{}", m.name);
@@ -966,9 +1007,9 @@ mod tests {
         let mut u = FamilyUniverse::new();
         let plan = Plan::new(&Feature::all()).unwrap();
         build(&mut u, &plan, 1).unwrap();
-        let (next, _, outcome) = redefine(u.session(), &plan, "STLCFix", "typesafe", 1).unwrap();
+        let (memos, _, outcome) = redefine(u.session(), &plan, "STLCFix", "typesafe", 1).unwrap();
         assert_eq!(outcome.ran, vec!["STLCFix".to_string()]);
-        compiled_from(&plan, &next);
+        compiled_from(&plan, memos.iter().map(|m| &m.compiled));
     }
 
     #[test]
@@ -995,15 +1036,17 @@ mod tests {
         let plan = Plan::new(&feats).unwrap();
         let warm = build(&mut u, &plan, 1).unwrap();
         let field = u.family("STLCFix").unwrap().fields[0].name.to_string();
-        let (next, report, outcome) = redefine(u.session(), &plan, "STLCFix", &field, 1).unwrap();
+        let (memos, report, outcome) = redefine(u.session(), &plan, "STLCFix", &field, 1).unwrap();
         // Re-elaborated or memo-served, every variant keeps the field
         // list of the build it replaced.
-        for name in u.names() {
-            let (a, b) = (
-                &next.family(name.as_str()).unwrap().fields,
-                &u.family(name.as_str()).unwrap().fields,
+        assert_eq!(memos.len(), u.names().len());
+        for (memo, built) in memos.iter().zip(u.families()) {
+            assert_eq!(memo.compiled.name, built.name);
+            assert!(
+                Arc::ptr_eq(&memo.compiled.fields, &built.fields),
+                "{}",
+                built.name
             );
-            assert!(Arc::ptr_eq(a, b), "{name}");
         }
         // STLCFix re-elaborates; STLCFixProd is early-cutoff (its only
         // re-elaborated dependency produced an identical output digest);

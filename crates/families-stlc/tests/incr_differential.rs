@@ -37,7 +37,9 @@
 //! A second property holds the engine's served path to the same oracle:
 //! [`lattice::redefine`] on one resident [`lattice::Plan`] (no universe,
 //! no replan) must answer every touch exactly as `lattice::rebuild` of
-//! the unedited definitions and as the sequential control do.
+//! the unedited definitions and as the sequential control do. It
+//! registers no module, so the oracle applies the memo entries it returns
+//! into a fresh module environment and compares that with the rebuild's.
 
 use std::collections::HashMap;
 
@@ -45,6 +47,7 @@ use families_stlc::{lattice, normalize_features, subset_defs, variant_name, Feat
 use fpop::sched::default_workers;
 use fpop::universe::FamilyUniverse;
 use fpop::{IncrOutcome, Session};
+use modsys::ModuleEnv;
 use testkit::edit_gen::{expand_script, gen_edit_script, EditScript};
 use testkit::lattice_ref::{build_sequential, build_sequential_defs, reports_match, rows_match};
 use testkit::{forall, Rng, Shrink};
@@ -309,7 +312,7 @@ fn run_touches(script: &TouchScript) -> Result<(), String> {
     for (k, &(v, f)) in script.touches.iter().enumerate() {
         let family = plan.merges()[v % plan.merges().len()].name.to_string();
         let field = &base_fields[f % base_fields.len()];
-        let (got_u, got, got_split) =
+        let (memos, got, got_split) =
             lattice::redefine(&served, &plan, &family, field, default_workers())
                 .map_err(|e| format!("step {k}: redefine {family}.{field}: {e:?}"))?;
         let (next, want, want_split) =
@@ -338,7 +341,20 @@ fn run_touches(script: &TouchScript) -> Result<(), String> {
             rows: latest.clone(),
         };
         reports_match(&got, &expected).map_err(|e| step(&format!("vs control: {e}")))?;
-        if !got_u.modenv.ledger.same_counts(&rebuilt_u.modenv.ledger) {
+        // The served path registers no module. Its memos' deltas, applied
+        // in plan order into a fresh environment (which re-runs every
+        // registration check), must give the rebuild's modules and
+        // aggregate ledger.
+        let mut env = ModuleEnv::new();
+        for m in &memos {
+            env.apply_delta(&m.delta)
+                .map_err(|e| step(&format!("registering {}: {e}", m.compiled.name)))?;
+            env.ledger.absorb(&m.delta.ledger);
+        }
+        if env.names() != rebuilt_u.modenv.names() {
+            return Err(step("served modules differ from the rebuild's"));
+        }
+        if !env.ledger.same_counts(&rebuilt_u.modenv.ledger) {
             return Err(step("aggregate ledgers diverge from the rebuild's"));
         }
         let (got_counts, want_counts) = (counts(&served), counts(rebuilt_u.session()));

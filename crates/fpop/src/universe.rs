@@ -185,11 +185,13 @@ impl FamilyUniverse {
 
     /// Registers a family compiled outside this universe and already
     /// behind an `Arc` — the task-DAG lattice build elaborates each
-    /// variant in a detached world and commits it here in canonical order,
+    /// variant in a detached world and adopts it here in canonical order,
     /// sharing the memo's compiled family rather than deep-cloning it.
     /// The caller ships the detached environment's module delta into
     /// `self.modenv` (see `ModuleEnv::delta_since` / `apply_delta`) and
-    /// commits the variant's proofs to the session.
+    /// commits the variant's proofs to the session. Adopting warms no code
+    /// cache: whoever compiled the family did (see [`warm_code_cache`]),
+    /// so a memo-served family costs a map insert.
     pub fn adopt_arc(&mut self, compiled: Arc<CompiledFamily>) -> Result<()> {
         if self.families.contains_key(&compiled.name) {
             return Err(Error::new(format!(
@@ -197,7 +199,6 @@ impl FamilyUniverse {
                 compiled.name
             )));
         }
-        warm_code_cache(&self.session, &compiled);
         self.order.push(compiled.name);
         self.families.insert(compiled.name, compiled);
         Ok(())
@@ -211,6 +212,11 @@ impl FamilyUniverse {
     /// Families in definition order.
     pub fn names(&self) -> &[Symbol] {
         &self.order
+    }
+
+    /// The compiled families, shared, in definition order.
+    pub fn families(&self) -> impl Iterator<Item = &Arc<CompiledFamily>> {
+        self.order.iter().map(|name| &self.families[name])
     }
 
     /// `Check F.field` — returns the statement of a theorem field,
@@ -335,13 +341,19 @@ fn resolve_against(
 }
 
 /// Warms the session's compiled-code cache with every concrete function
-/// of a freshly compiled family. Keys are content digests of whole call
+/// of a freshly compiled family: one cache lookup per recursive or alias
+/// function, compiling on a miss. Keys are content digests of whole call
 /// graphs, so a lattice of families that close a recursion to identical
 /// definitions compiles it once and every later family is a pure cache
 /// hit — the same cross-family reuse channel as the proof cache. Open
 /// graphs (reaching a still-abstract function) get a cached negative
 /// verdict and stay on the interpreter.
-fn warm_code_cache(session: &Session, fam: &CompiledFamily) {
+///
+/// Call it where a family is compiled ([`FamilyUniverse::define`], the
+/// lattice build's finish step), not where a compiled family is shared
+/// again: evaluation compiles on a miss anyway, so warming is only a
+/// prefetch, and a family served from a memo was warmed when it ran.
+pub fn warm_code_cache(session: &Session, fam: &CompiledFamily) {
     use objlang::sig::FnDef;
     for def in fam.sig.functions() {
         if matches!(def, FnDef::Rec(_) | FnDef::Alias(_)) {

@@ -306,7 +306,7 @@ impl ModuleEnv {
     /// Extracts everything registered since `mark` (in registration order)
     /// together with this environment's ledger, as a value that can cross
     /// a thread boundary and be [`ModuleEnv::apply_delta`]-ed into another
-    /// environment.
+    /// environment (whose owner absorbs the ledger, if it keeps one).
     pub fn delta_since(&self, mark: usize) -> ModuleDelta {
         let entries = self.order[mark.min(self.order.len())..]
             .iter()
@@ -319,20 +319,21 @@ impl ModuleEnv {
     }
 
     /// Splices a worker's delta into this environment: registers its
-    /// modules (validated exactly like [`ModuleEnv::add_module`] /
-    /// [`ModuleEnv::add_module_type`]) and absorbs its ledger.
+    /// modules, validated exactly like [`ModuleEnv::add_module`] /
+    /// [`ModuleEnv::add_module_type`].
     ///
-    /// The delta's ledger already accounts for every registration it
-    /// carries, so — unlike the `add_*` entry points — splicing does *not*
-    /// record fresh checks of its own: applying a delta yields the same
-    /// ledger totals as if the worker had elaborated directly into this
-    /// environment.
+    /// Splicing records nothing in [`ModuleEnv::ledger`]: the delta's own
+    /// ledger already accounts for every registration it carries. A caller
+    /// that keeps accounts absorbs `delta.ledger` itself, which yields the
+    /// same totals as if the worker had elaborated directly into this
+    /// environment; one that only needs the modules in scope (a lattice
+    /// variant's world, assembled from its prerequisites' deltas) merges
+    /// no ledger it would throw away.
     pub fn apply_delta(&mut self, delta: &ModuleDelta) -> Result<(), ModError> {
         for e in &delta.entries {
             self.register(e)?;
             self.insert(e.clone());
         }
-        self.ledger.absorb(&delta.ledger);
         Ok(())
     }
 }
@@ -499,6 +500,85 @@ mod tests {
             entries: vec![],
         });
         assert!(res.is_err());
+    }
+
+    /// What a lattice worker registers over its prerequisite: a module
+    /// type in the base's context, a context including it, a module in
+    /// that context, and one shared entity.
+    fn worker_modules(env: &mut ModuleEnv) {
+        env.add_module_type(ModuleType {
+            name: "STLC◦tm".into(),
+            self_ctx: Some("STLC◦tm◦Ctx".into()),
+            entries: vec![ModEntry::Declare(Item::axiom("tm", "Set"))],
+        })
+        .unwrap();
+        env.add_module_type(ModuleType {
+            name: "STLC◦env◦Ctx".into(),
+            self_ctx: None,
+            entries: vec![
+                ModEntry::Include("STLC◦tm◦Ctx".into()),
+                ModEntry::Include("STLC◦tm".into()),
+            ],
+        })
+        .unwrap();
+        env.add_module(Module {
+            name: "STLC◦env".into(),
+            self_ctx: Some("STLC◦env◦Ctx".into()),
+            entries: vec![ModEntry::Declare(Item::definition("env", "id → ty"))],
+        })
+        .unwrap();
+        env.record_shared("STLC◦tm◦Ctx");
+    }
+
+    #[test]
+    fn delta_round_trips_into_another_environment() {
+        let mut base = ModuleEnv::new();
+        base.add_module_type(ModuleType {
+            name: "STLC◦tm◦Ctx".into(),
+            self_ctx: None,
+            entries: vec![ModEntry::Declare(Item::axiom("ty", "Set"))],
+        })
+        .unwrap();
+        // The worker elaborates into a copy of the base with fresh
+        // accounts and ships what it registered after its mark.
+        let mut worker = base.clone();
+        worker.ledger = CheckLedger::new();
+        let mark = worker.mark();
+        worker_modules(&mut worker);
+        let delta = worker.delta_since(mark);
+        let names: Vec<&str> = delta.entries.iter().map(|e| &**e.name()).collect();
+        assert_eq!(names, ["STLC◦tm", "STLC◦env◦Ctx", "STLC◦env"]);
+        assert_eq!(
+            (delta.ledger.checked_count(), delta.ledger.shared_count()),
+            (3, 1)
+        );
+
+        // Applied to the base, the delta registers what elaborating
+        // directly into the base would have, in the same order.
+        let mut direct = base.clone();
+        worker_modules(&mut direct);
+        let mut target = base.clone();
+        target.apply_delta(&delta).unwrap();
+        assert_eq!(target.names(), direct.names());
+        assert_eq!(
+            target.flatten("STLC◦env◦Ctx").unwrap(),
+            direct.flatten("STLC◦env◦Ctx").unwrap()
+        );
+        // Splicing records nothing; the caller that keeps accounts absorbs
+        // the delta's ledger and gets the direct elaboration's.
+        assert!(target.ledger.same_counts(&base.ledger));
+        target.ledger.absorb(&delta.ledger);
+        assert!(target.ledger.same_counts(&direct.ledger));
+
+        // A second splice is a duplicate; an environment without the
+        // prerequisite's modules rejects the delta's self context.
+        let dup = target.apply_delta(&delta).unwrap_err();
+        assert_eq!(dup.0, "duplicate module name STLC◦tm");
+        let orphan = ModuleEnv::new().apply_delta(&delta).unwrap_err();
+        assert_eq!(
+            orphan.0,
+            "module type STLC◦tm: unknown self context STLC◦tm◦Ctx"
+        );
     }
 
     #[test]
