@@ -229,6 +229,17 @@ impl CheckLedger {
     }
 }
 
+/// Merges ledgers with [`CheckLedger::absorb`], in iteration order.
+impl<'a> FromIterator<&'a CheckLedger> for CheckLedger {
+    fn from_iter<I: IntoIterator<Item = &'a CheckLedger>>(ledgers: I) -> CheckLedger {
+        let mut all = CheckLedger::new();
+        for l in ledgers {
+            all.absorb(l);
+        }
+        all
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +314,9 @@ mod tests {
         m.absorb(&l);
         assert_eq!(m.cache_hits(), 2);
         assert_eq!(m.cache_misses(), 1);
+        // Collecting ledgers absorbs each in turn.
+        let both: CheckLedger = [&l, &m].into_iter().collect();
+        assert_eq!((both.cache_hits(), both.cache_misses()), (4, 2));
     }
 
     #[test]
