@@ -625,7 +625,7 @@ fn build_dag(
                     // Warm the code cache where the family is compiled; a
                     // later build serving it from the memo does not.
                     warm_code_cache(session, &compiled);
-                    let delta = env.delta_since(st.mark);
+                    let delta = env.into_delta(st.mark);
                     let parts = st.txn.take().expect("txn lives until finish").into_parts();
                     let out_digest = incr::output_digest(&delta);
                     let memo = Arc::new(IncrMemo {

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use objlang::error::{Error, Result};
 use objlang::ident::Symbol;
-use objlang::induction::{case_sequent, conclude_rule_induction, missing_recursion_cases, Motive};
+use objlang::induction::{missing_recursion_cases, DataInduction, Motive, RuleInduction};
 use objlang::proof::ProvedSequent;
 use objlang::sig::{Datatype, FactKind, FnDef, IndPred, RecFn, Signature};
 use objlang::syntax::Prop;
@@ -492,42 +492,40 @@ fn check_field(
             cases,
             hint,
         } => {
-            let p = view
-                .pred(*pred)
-                .ok_or_else(|| Error::new(format!("FInduction {name}: unknown predicate {pred}")))?
-                .clone();
-            let motive = Motive::for_pred(&p, motive.params.clone(), motive.body.clone())?;
+            let p = view.pred(*pred).ok_or_else(|| {
+                Error::new(format!("FInduction {name}: unknown predicate {pred}"))
+            })?;
+            let motive = Motive::for_pred(p, motive.params.clone(), motive.body.clone())?;
             {
                 let vars: HashMap<Symbol, objlang::Sort> = motive.params.iter().cloned().collect();
                 view.check_prop(&vars, &motive.body)?;
             }
+            let induction = RuleInduction::new(view, *pred, motive)?;
             let mut proved: HashMap<Symbol, ProvedSequent> = HashMap::new();
             let mut shared_cases = 0usize;
             let mut checked_cases = 0usize;
-            for rule in &p.rules {
-                let (_, script) = cases.iter().find(|(r, _)| r == &rule.name).ok_or_else(|| {
+            for (rule, seq) in induction.obligations() {
+                let (_, script) = cases.iter().find(|(r, _)| *r == rule).ok_or_else(|| {
                     Error::new(format!(
                         "FInduction {name} on {pred} is not exhaustive: \
-                             missing Case {} — the predicate was further bound, \
-                             so the induction must be further bound too (paper C1)",
-                        rule.name
+                             missing Case {rule} — the predicate was further bound, \
+                             so the induction must be further bound too (paper C1)"
                     ))
                 })?;
-                let seq = case_sequent(view, &p, rule, &motive)?;
-                let case_unit = format!("{unit}◦{}", rule.name);
-                let cached = txn.lookup_case(&seq, script, okey);
+                let case_unit = format!("{unit}◦{rule}");
+                let cached = txn.lookup_case(seq, script, okey);
                 txn.count_site(LookupSite::Induction, cached.is_some());
                 if let Some(pf) = cached {
-                    proved.insert(rule.name, pf);
+                    proved.insert(rule, pf);
                     ledger.record_cache_hit();
                     ledger.record_shared(&case_unit);
                     shared_cases += 1;
                 } else {
                     ledger.record_cache_miss();
                     let pf = prove_sequent(view, seq.clone(), false, script)
-                        .map_err(|e| e.with_context(format!("Case {} of {name}", rule.name)))?;
-                    txn.insert_case(seq, script.clone(), pf.clone(), okey);
-                    proved.insert(rule.name, pf);
+                        .map_err(|e| e.with_context(format!("Case {rule} of {name}")))?;
+                    txn.insert_case(seq.clone(), script.clone(), pf.clone(), okey);
+                    proved.insert(rule, pf);
                     ledger.record_checked(&case_unit);
                     checked_cases += 1;
                 }
@@ -539,7 +537,7 @@ fn check_field(
                     )));
                 }
             }
-            let thm = conclude_rule_induction(view, *pred, &motive, &proved)?;
+            let thm = induction.conclude(&proved)?;
             view.add_fact(*name, thm.prop().clone(), FactKind::Lemma)?;
             if *hint {
                 view.add_hint(name.as_str());
@@ -554,42 +552,37 @@ fn check_field(
             cases,
             hint,
         } => {
-            use objlang::induction::{conclude_data_induction, data_case_sequent};
-            let dt = view
-                .datatype(*datatype)
-                .ok_or_else(|| {
-                    Error::new(format!("FInduction {name}: unknown datatype {datatype}"))
-                })?
-                .clone();
+            let dt = view.datatype(*datatype).ok_or_else(|| {
+                Error::new(format!("FInduction {name}: unknown datatype {datatype}"))
+            })?;
             {
                 let mut vars = HashMap::new();
                 vars.insert(motive.param, motive.sort);
                 view.check_prop(&vars, &motive.body)?;
             }
+            let induction = DataInduction::new(view, *datatype, motive.clone())?;
             let mut proved: HashMap<Symbol, ProvedSequent> = HashMap::new();
-            for ctor in &dt.ctors {
-                let (_, script) = cases.iter().find(|(r, _)| r == &ctor.name).ok_or_else(|| {
+            for (ctor, seq) in induction.obligations() {
+                let (_, script) = cases.iter().find(|(r, _)| *r == ctor).ok_or_else(|| {
                     Error::new(format!(
                         "FInduction {name} on {datatype} is not exhaustive: \
-                         missing Case {} — the datatype was further bound, so \
-                         the induction must be further bound too (paper C1)",
-                        ctor.name
+                         missing Case {ctor} — the datatype was further bound, so \
+                         the induction must be further bound too (paper C1)"
                     ))
                 })?;
-                let seq = data_case_sequent(view, *datatype, ctor.name, motive)?;
-                let case_unit = format!("{unit}◦{}", ctor.name);
-                let cached = txn.lookup_case(&seq, script, okey);
+                let case_unit = format!("{unit}◦{ctor}");
+                let cached = txn.lookup_case(seq, script, okey);
                 txn.count_site(LookupSite::DataInduction, cached.is_some());
                 if let Some(pf) = cached {
-                    proved.insert(ctor.name, pf);
+                    proved.insert(ctor, pf);
                     ledger.record_cache_hit();
                     ledger.record_shared(&case_unit);
                 } else {
                     ledger.record_cache_miss();
                     let pf = prove_sequent(view, seq.clone(), false, script)
-                        .map_err(|e| e.with_context(format!("Case {} of {name}", ctor.name)))?;
-                    txn.insert_case(seq, script.clone(), pf.clone(), okey);
-                    proved.insert(ctor.name, pf);
+                        .map_err(|e| e.with_context(format!("Case {ctor} of {name}")))?;
+                    txn.insert_case(seq.clone(), script.clone(), pf.clone(), okey);
+                    proved.insert(ctor, pf);
                     ledger.record_checked(&case_unit);
                 }
             }
@@ -600,7 +593,7 @@ fn check_field(
                     )));
                 }
             }
-            let thm = conclude_data_induction(view, *datatype, motive, &proved)?;
+            let thm = induction.conclude(&proved)?;
             view.add_fact(*name, thm.prop().clone(), FactKind::Lemma)?;
             if *hint {
                 view.add_hint(name.as_str());

@@ -188,7 +188,7 @@ impl FamilyUniverse {
     /// variant in a detached world and adopts it here in canonical order,
     /// sharing the memo's compiled family rather than deep-cloning it.
     /// The caller ships the detached environment's module delta into
-    /// `self.modenv` (see `ModuleEnv::delta_since` / `apply_delta`) and
+    /// `self.modenv` (see `ModuleEnv::into_delta` / `apply_delta`) and
     /// commits the variant's proofs to the session. Adopting warms no code
     /// cache: whoever compiled the family did (see [`warm_code_cache`]),
     /// so a memo-served family costs a map insert.

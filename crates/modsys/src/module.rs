@@ -296,25 +296,32 @@ impl ModuleEnv {
     }
 
     /// A position marker: everything registered after this mark is part of
-    /// a later [`ModuleEnv::delta_since`]. Used by the parallel lattice
+    /// a later [`ModuleEnv::into_delta`]. Used by the parallel lattice
     /// build, where each worker elaborates into a clone of the environment
     /// and ships only its delta back to the shared one.
     pub fn mark(&self) -> usize {
         self.order.len()
     }
 
-    /// Extracts everything registered since `mark` (in registration order)
-    /// together with this environment's ledger, as a value that can cross
-    /// a thread boundary and be [`ModuleEnv::apply_delta`]-ed into another
-    /// environment (whose owner absorbs the ledger, if it keeps one).
-    pub fn delta_since(&self, mark: usize) -> ModuleDelta {
-        let entries = self.order[mark.min(self.order.len())..]
-            .iter()
-            .map(|name| self.entities[name].clone())
+    /// Consumes the environment into everything registered since `mark`
+    /// (in registration order) together with its ledger, as a value that
+    /// can cross a thread boundary and be [`ModuleEnv::apply_delta`]-ed
+    /// into another environment (whose owner absorbs the ledger, if it
+    /// keeps one). The ledger and the entries move; nothing is copied.
+    pub fn into_delta(mut self, mark: usize) -> ModuleDelta {
+        let mark = mark.min(self.order.len());
+        let entries = self
+            .order
+            .drain(mark..)
+            .map(|name| {
+                self.entities
+                    .remove(&name)
+                    .expect("every ordered name is registered")
+            })
             .collect();
         ModuleDelta {
             entries,
-            ledger: self.ledger.clone(),
+            ledger: self.ledger,
         }
     }
 
@@ -545,7 +552,7 @@ mod tests {
         worker.ledger = CheckLedger::new();
         let mark = worker.mark();
         worker_modules(&mut worker);
-        let delta = worker.delta_since(mark);
+        let delta = worker.into_delta(mark);
         let names: Vec<&str> = delta.entries.iter().map(|e| &**e.name()).collect();
         assert_eq!(names, ["STLC◦tm", "STLC◦env◦Ctx", "STLC◦env"]);
         assert_eq!(

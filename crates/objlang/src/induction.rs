@@ -2,19 +2,23 @@
 //! of the paper's `FInduction` command (Section 3.1).
 //!
 //! `FInduction lemma on P motive M` produces one proof obligation per rule
-//! of `P`; each obligation is a [`Sequent`] built by [`case_sequent`]. When
-//! every rule of the predicate's *final* constructor set has a proven case,
-//! [`conclude_rule_induction`] assembles the theorem
-//! `∀ x̄, P(x̄) → M(x̄)`. Exhaustivity over newly added rules is what the
-//! family layer enforces at `End` (paper C1); this module refuses to
-//! assemble with missing or mismatched cases.
+//! of `P`; each obligation is a [`Sequent`] built by [`case_sequent`]. A
+//! [`RuleInduction`] derives all of them once, from the predicate the
+//! signature records, and keeps them: the elaborator proves (or looks up)
+//! a case against the stored obligation, and when every rule of the
+//! predicate's *final* constructor set has a proven case,
+//! [`RuleInduction::conclude`] compares each proof with that same
+//! obligation and assembles the theorem `∀ x̄, P(x̄) → M(x̄)`.
+//! [`DataInduction`] is the datatype twin. Exhaustivity over newly added
+//! rules is what the family layer enforces at `End` (paper C1); this
+//! module refuses to assemble with missing or mismatched cases.
 
 use std::collections::HashMap;
 
 use crate::error::{Error, Result};
 use crate::ident::Symbol;
 use crate::proof::{ProvedSequent, Sequent, Theorem};
-use crate::sig::{IndPred, Rule, Signature};
+use crate::sig::{Datatype, IndPred, Rule, Signature};
 use crate::syntax::{Prop, Sort, Term};
 
 /// The motive of a recursion or induction: a proposition abstracted over
@@ -122,40 +126,71 @@ fn mentions_pred_under_connective(p: &Prop, pred: Symbol) -> bool {
     }
 }
 
-/// Assembles the rule-induction theorem from proven cases.
+/// The obligations of one rule induction, derived once by the kernel.
 ///
-/// `cases` maps each rule name to the proof of its obligation. Every rule
-/// of `pred` (as recorded in `sig` — i.e. the *final* rule set at family
-/// `End`) must be covered, and each proof's sequent must be exactly the
-/// obligation generated by [`case_sequent`].
-pub fn conclude_rule_induction(
-    sig: &Signature,
-    pred_name: Symbol,
-    motive: &Motive,
-    cases: &HashMap<Symbol, ProvedSequent>,
-) -> Result<Theorem> {
-    let pred = sig
-        .pred(pred_name)
-        .ok_or_else(|| Error::new(format!("unknown predicate {pred_name}")))?;
-    for rule in &pred.rules {
-        let proved = cases.get(&rule.name).ok_or_else(|| {
-            Error::new(format!(
-                "induction on {pred_name}: missing case for rule {} \
-                 (exhaustivity, paper C1)",
-                rule.name
-            ))
-        })?;
-        let expected = case_sequent(sig, pred, rule, motive)?;
-        if !sequent_matches(proved.sequent(), &expected) {
-            return Err(Error::new(format!(
-                "induction on {pred_name}: proof for rule {} does not match \
-                 its obligation;\nexpected:\n{expected}\ngot:\n{}",
-                rule.name,
-                proved.sequent()
-            )));
-        }
+/// [`RuleInduction::new`] looks the predicate up in the signature by name
+/// and builds every rule's obligation with [`case_sequent`], in rule
+/// order. The borrow `'s` pins that signature until
+/// [`RuleInduction::conclude`], so the obligations a proof is checked
+/// against are the ones its cases were stated from.
+pub struct RuleInduction<'s> {
+    pred: &'s IndPred,
+    motive: Motive,
+    obligations: Vec<Sequent>,
+}
+
+impl<'s> RuleInduction<'s> {
+    /// Derives the obligation of every rule of `pred` (the *final* rule
+    /// set recorded in `sig`, i.e. at family `End`).
+    pub fn new(sig: &'s Signature, pred: Symbol, motive: Motive) -> Result<RuleInduction<'s>> {
+        let p = sig
+            .pred(pred)
+            .ok_or_else(|| Error::new(format!("unknown predicate {pred}")))?;
+        let obligations = p
+            .rules
+            .iter()
+            .map(|rule| case_sequent(sig, p, rule, &motive))
+            .collect::<Result<_>>()?;
+        Ok(RuleInduction {
+            pred: p,
+            motive,
+            obligations,
+        })
     }
-    Ok(Theorem::trusted(motive.conclusion(pred_name)))
+
+    /// Each rule's name with its obligation, in rule order.
+    pub fn obligations(&self) -> impl Iterator<Item = (Symbol, &Sequent)> {
+        self.pred
+            .rules
+            .iter()
+            .map(|r| r.name)
+            .zip(&self.obligations)
+    }
+
+    /// Assembles the rule-induction theorem from proven cases.
+    ///
+    /// `cases` maps each rule name to the proof of its obligation. Every
+    /// rule must be covered, and each proof's sequent must be exactly the
+    /// stored obligation.
+    pub fn conclude(self, cases: &HashMap<Symbol, ProvedSequent>) -> Result<Theorem> {
+        let pred = self.pred.name;
+        for (rule, expected) in self.obligations() {
+            let proved = cases.get(&rule).ok_or_else(|| {
+                Error::new(format!(
+                    "induction on {pred}: missing case for rule {rule} \
+                     (exhaustivity, paper C1)"
+                ))
+            })?;
+            if !sequent_matches(proved.sequent(), expected) {
+                return Err(Error::new(format!(
+                    "induction on {pred}: proof for rule {rule} does not match \
+                     its obligation;\nexpected:\n{expected}\ngot:\n{}",
+                    proved.sequent()
+                )));
+            }
+        }
+        Ok(Theorem::trusted(self.motive.conclusion(pred)))
+    }
 }
 
 /// Compares a proved sequent against an obligation up to alpha-renaming of
@@ -241,36 +276,69 @@ fn short_name(ctor: Symbol) -> String {
     }
 }
 
-/// Assembles the datatype-induction theorem `∀ x : D, M(x)` from proven
-/// cases — every constructor of the datatype's final set must be covered.
-pub fn conclude_data_induction(
-    sig: &Signature,
-    datatype: Symbol,
-    motive: &DataMotive,
-    cases: &HashMap<Symbol, ProvedSequent>,
-) -> Result<Theorem> {
-    let dt = sig
-        .datatype(datatype)
-        .ok_or_else(|| Error::new(format!("unknown datatype {datatype}")))?;
-    for ctor in &dt.ctors {
-        let proved = cases.get(&ctor.name).ok_or_else(|| {
-            Error::new(format!(
-                "induction on {datatype}: missing case for constructor {} \
-                 (exhaustivity, paper C1)",
-                ctor.name
-            ))
-        })?;
-        let expected = data_case_sequent(sig, datatype, ctor.name, motive)?;
-        if !sequent_matches(proved.sequent(), &expected) {
-            return Err(Error::new(format!(
-                "induction on {datatype}: proof for constructor {} does not \
-                 match its obligation;\nexpected:\n{expected}\ngot:\n{}",
-                ctor.name,
-                proved.sequent()
-            )));
-        }
+/// The obligations of one datatype induction, derived once by the kernel:
+/// the twin of [`RuleInduction`] over [`data_case_sequent`], one
+/// obligation per constructor of the datatype's final set.
+pub struct DataInduction<'s> {
+    datatype: &'s Datatype,
+    motive: DataMotive,
+    obligations: Vec<Sequent>,
+}
+
+impl<'s> DataInduction<'s> {
+    /// Derives the obligation of every constructor of `datatype` as
+    /// recorded in `sig`.
+    pub fn new(
+        sig: &'s Signature,
+        datatype: Symbol,
+        motive: DataMotive,
+    ) -> Result<DataInduction<'s>> {
+        let dt = sig
+            .datatype(datatype)
+            .ok_or_else(|| Error::new(format!("unknown datatype {datatype}")))?;
+        let obligations = dt
+            .ctors
+            .iter()
+            .map(|ctor| data_case_sequent(sig, datatype, ctor.name, &motive))
+            .collect::<Result<_>>()?;
+        Ok(DataInduction {
+            datatype: dt,
+            motive,
+            obligations,
+        })
     }
-    Ok(Theorem::trusted(motive.conclusion()))
+
+    /// Each constructor's name with its obligation, in constructor order.
+    pub fn obligations(&self) -> impl Iterator<Item = (Symbol, &Sequent)> {
+        self.datatype
+            .ctors
+            .iter()
+            .map(|c| c.name)
+            .zip(&self.obligations)
+    }
+
+    /// Assembles the datatype-induction theorem `∀ x : D, M(x)` from
+    /// proven cases: every constructor must be covered, and each proof's
+    /// sequent must be exactly the stored obligation.
+    pub fn conclude(self, cases: &HashMap<Symbol, ProvedSequent>) -> Result<Theorem> {
+        let datatype = self.datatype.name;
+        for (ctor, expected) in self.obligations() {
+            let proved = cases.get(&ctor).ok_or_else(|| {
+                Error::new(format!(
+                    "induction on {datatype}: missing case for constructor {ctor} \
+                     (exhaustivity, paper C1)"
+                ))
+            })?;
+            if !sequent_matches(proved.sequent(), expected) {
+                return Err(Error::new(format!(
+                    "induction on {datatype}: proof for constructor {ctor} does not \
+                     match its obligation;\nexpected:\n{expected}\ngot:\n{}",
+                    proved.sequent()
+                )));
+            }
+        }
+        Ok(Theorem::trusted(self.motive.conclusion()))
+    }
 }
 
 /// Builds the structural-recursion obligations check used by `FRecursion`
@@ -367,13 +435,10 @@ mod tests {
         s
     }
 
-    #[test]
-    fn even_implies_exists_double() {
+    fn exists_double_motive(pred: &IndPred) -> Motive {
         // forall n, even n -> exists m, n = double m
-        let sig = even_sig();
-        let pred = sig.pred(sym("even")).unwrap().clone();
-        let motive = Motive::for_pred(
-            &pred,
+        Motive::for_pred(
+            pred,
             vec![(sym("n"), Sort::named("nat"))],
             Prop::exists(
                 "m",
@@ -381,21 +446,54 @@ mod tests {
                 Prop::eq(Term::var("n"), Term::func("double", vec![Term::var("m")])),
             ),
         )
-        .unwrap();
+        .unwrap()
+    }
 
+    fn true_motive(sig: &Signature) -> Motive {
+        let pred = sig.pred(sym("even")).unwrap();
+        Motive::for_pred(pred, vec![(sym("n"), Sort::named("nat"))], Prop::True).unwrap()
+    }
+
+    /// `∀ n : nat, double n = double n`, by reflexivity in every case.
+    fn double_refl_motive() -> DataMotive {
+        DataMotive {
+            param: sym("n"),
+            sort: Sort::named("nat"),
+            body: Prop::eq(
+                Term::func("double", vec![Term::var("n")]),
+                Term::func("double", vec![Term::var("n")]),
+            ),
+        }
+    }
+
+    fn prove_trivially(sig: &Signature, seq: &Sequent) -> ProvedSequent {
+        let mut st = ProofState::with_sequent(sig, seq.clone()).unwrap();
+        st.trivial().unwrap();
+        st.qed_sequent().unwrap()
+    }
+
+    #[test]
+    fn even_implies_exists_double() {
+        let sig = even_sig();
+        let motive = exists_double_motive(sig.pred(sym("even")).unwrap());
+        let expected = motive.conclusion(sym("even"));
+        let induction = RuleInduction::new(&sig, sym("even"), motive).unwrap();
+        let obligations: Vec<(Symbol, &Sequent)> = induction.obligations().collect();
         let mut cases = HashMap::new();
 
         // Case even_zero: exists m, zero = double m; witness zero.
-        let seq0 = case_sequent(&sig, &pred, &pred.rules[0], &motive).unwrap();
-        let mut st = ProofState::with_sequent(&sig, seq0).unwrap();
+        let (rule, seq0) = obligations[0];
+        assert_eq!(rule, sym("even_zero"));
+        let mut st = ProofState::with_sequent(&sig, seq0.clone()).unwrap();
         st.exists(Term::c0("zero")).unwrap();
         st.fsimpl().unwrap();
         st.reflexivity().unwrap();
-        cases.insert(sym("even_zero"), st.qed_sequent().unwrap());
+        cases.insert(rule, st.qed_sequent().unwrap());
 
         // Case even_ss: IH gives n = double m; witness succ m.
-        let seq1 = case_sequent(&sig, &pred, &pred.rules[1], &motive).unwrap();
-        let mut st = ProofState::with_sequent(&sig, seq1).unwrap();
+        let (rule, seq1) = obligations[1];
+        assert_eq!(rule, sym("even_ss"));
+        let mut st = ProofState::with_sequent(&sig, seq1.clone()).unwrap();
         st.destruct("IH0").unwrap();
         // hyp: n = double m'; goal: exists m, succ (succ n) = double m
         let witness_var = st
@@ -411,40 +509,183 @@ mod tests {
         st.fsimpl().unwrap();
         st.rewrite("IH0").unwrap();
         st.reflexivity().unwrap();
-        cases.insert(sym("even_ss"), st.qed_sequent().unwrap());
+        cases.insert(rule, st.qed_sequent().unwrap());
 
-        let thm = conclude_rule_induction(&sig, sym("even"), &motive, &cases).unwrap();
-        let expected = motive.conclusion(sym("even"));
+        let thm = induction.conclude(&cases).unwrap();
         assert!(thm.prop().alpha_eq(&expected));
+    }
+
+    #[test]
+    fn rule_obligations_are_the_case_sequents_in_rule_order() {
+        let sig = even_sig();
+        let pred = sig.pred(sym("even")).unwrap();
+        let motive = exists_double_motive(pred);
+        let induction = RuleInduction::new(&sig, sym("even"), motive.clone()).unwrap();
+        let got: Vec<(Symbol, Sequent)> = induction
+            .obligations()
+            .map(|(rule, seq)| (rule, seq.clone()))
+            .collect();
+        let want: Vec<(Symbol, Sequent)> = pred
+            .rules
+            .iter()
+            .map(|rule| (rule.name, case_sequent(&sig, pred, rule, &motive).unwrap()))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn unknown_predicate_rejected() {
+        let sig = even_sig();
+        let motive = true_motive(&sig);
+        let err = RuleInduction::new(&sig, sym("odd"), motive).err().unwrap();
+        assert_eq!(format!("{err}"), "unknown predicate odd");
     }
 
     #[test]
     fn missing_case_rejected() {
         let sig = even_sig();
-        let pred = sig.pred(sym("even")).unwrap().clone();
-        let motive =
-            Motive::for_pred(&pred, vec![(sym("n"), Sort::named("nat"))], Prop::True).unwrap();
-        let cases = HashMap::new();
-        let err = conclude_rule_induction(&sig, sym("even"), &motive, &cases).unwrap_err();
-        assert!(format!("{err}").contains("missing case"));
+        let induction = RuleInduction::new(&sig, sym("even"), true_motive(&sig)).unwrap();
+        // Only the first rule has a proof.
+        let (rule, seq) = induction.obligations().next().unwrap();
+        let cases = HashMap::from([(rule, prove_trivially(&sig, seq))]);
+        let err = induction.conclude(&cases).unwrap_err();
+        assert_eq!(
+            format!("{err}"),
+            "induction on even: missing case for rule even_ss (exhaustivity, paper C1)"
+        );
     }
 
     #[test]
     fn mismatched_case_rejected() {
         let sig = even_sig();
-        let pred = sig.pred(sym("even")).unwrap().clone();
-        let motive =
-            Motive::for_pred(&pred, vec![(sym("n"), Sort::named("nat"))], Prop::True).unwrap();
+        let induction = RuleInduction::new(&sig, sym("even"), true_motive(&sig)).unwrap();
         // Prove True for the zero case but register it under even_ss.
-        let seq = case_sequent(&sig, &pred, &pred.rules[0], &motive).unwrap();
-        let mut st = ProofState::with_sequent(&sig, seq).unwrap();
-        st.trivial().unwrap();
-        let proved = st.qed_sequent().unwrap();
+        let (_, seq) = induction.obligations().next().unwrap();
+        let proved = prove_trivially(&sig, seq);
         let mut cases = HashMap::new();
         cases.insert(sym("even_ss"), proved.clone());
         cases.insert(sym("even_zero"), proved);
-        let err = conclude_rule_induction(&sig, sym("even"), &motive, &cases).unwrap_err();
-        assert!(format!("{err}").contains("does not match"));
+        let err = induction.conclude(&cases).unwrap_err();
+        assert!(
+            format!("{err}")
+                .starts_with("induction on even: proof for rule even_ss does not match"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn assumed_proof_of_another_sequent_rejected() {
+        // A proof re-admitted without replay (a snapshot-loaded cache
+        // entry) is checked against the obligation like a fresh one: the
+        // exact obligations conclude, but the even_ss sequent of another
+        // motive does not discharge this one.
+        let sig = even_sig();
+        let other: Vec<Sequent> = RuleInduction::new(&sig, sym("even"), true_motive(&sig))
+            .unwrap()
+            .obligations()
+            .map(|(_, seq)| seq.clone())
+            .collect();
+        let motive = exists_double_motive(sig.pred(sym("even")).unwrap());
+        let induction = RuleInduction::new(&sig, sym("even"), motive.clone()).unwrap();
+        let mut cases: HashMap<Symbol, ProvedSequent> = induction
+            .obligations()
+            .map(|(rule, seq)| (rule, ProvedSequent::assume_checked(seq.clone())))
+            .collect();
+        assert!(induction.conclude(&cases).is_ok());
+
+        let induction = RuleInduction::new(&sig, sym("even"), motive).unwrap();
+        cases.insert(
+            sym("even_ss"),
+            ProvedSequent::assume_checked(other[1].clone()),
+        );
+        let err = induction.conclude(&cases).unwrap_err();
+        let msg = format!("{err}");
+        assert!(
+            msg.starts_with("induction on even: proof for rule even_ss does not match"),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("got:\n{}", other[1])), "{msg}");
+    }
+
+    #[test]
+    fn data_induction_concludes_over_every_constructor() {
+        let sig = even_sig();
+        let motive = double_refl_motive();
+        let expected = motive.conclusion();
+        let induction = DataInduction::new(&sig, sym("nat"), motive).unwrap();
+        let cases: HashMap<Symbol, ProvedSequent> = induction
+            .obligations()
+            .map(|(ctor, seq)| {
+                let mut st = ProofState::with_sequent(&sig, seq.clone()).unwrap();
+                st.reflexivity().unwrap();
+                (ctor, st.qed_sequent().unwrap())
+            })
+            .collect();
+        let thm = induction.conclude(&cases).unwrap();
+        assert!(thm.prop().alpha_eq(&expected));
+    }
+
+    #[test]
+    fn data_obligations_are_the_case_sequents_in_constructor_order() {
+        let sig = even_sig();
+        let motive = double_refl_motive();
+        let induction = DataInduction::new(&sig, sym("nat"), motive.clone()).unwrap();
+        let got: Vec<(Symbol, Sequent)> = induction
+            .obligations()
+            .map(|(ctor, seq)| (ctor, seq.clone()))
+            .collect();
+        let want: Vec<(Symbol, Sequent)> = sig
+            .datatype(sym("nat"))
+            .unwrap()
+            .ctors
+            .iter()
+            .map(|c| {
+                let seq = data_case_sequent(&sig, sym("nat"), c.name, &motive).unwrap();
+                (c.name, seq)
+            })
+            .collect();
+        assert_eq!(got, want);
+        let err = DataInduction::new(&sig, sym("list"), motive).err().unwrap();
+        assert_eq!(format!("{err}"), "unknown datatype list");
+    }
+
+    #[test]
+    fn data_missing_constructor_rejected() {
+        let sig = even_sig();
+        let motive = DataMotive {
+            body: Prop::True,
+            ..double_refl_motive()
+        };
+        let induction = DataInduction::new(&sig, sym("nat"), motive).unwrap();
+        let (ctor, seq) = induction.obligations().next().unwrap();
+        let cases = HashMap::from([(ctor, prove_trivially(&sig, seq))]);
+        let err = induction.conclude(&cases).unwrap_err();
+        assert_eq!(
+            format!("{err}"),
+            "induction on nat: missing case for constructor succ (exhaustivity, paper C1)"
+        );
+    }
+
+    #[test]
+    fn data_mismatched_case_rejected() {
+        let sig = even_sig();
+        let motive = DataMotive {
+            body: Prop::True,
+            ..double_refl_motive()
+        };
+        let induction = DataInduction::new(&sig, sym("nat"), motive).unwrap();
+        // Prove True for the zero case but register it under succ too.
+        let (_, seq) = induction.obligations().next().unwrap();
+        let proved = prove_trivially(&sig, seq);
+        let mut cases = HashMap::new();
+        cases.insert(sym("succ"), proved.clone());
+        cases.insert(sym("zero"), proved);
+        let err = induction.conclude(&cases).unwrap_err();
+        assert!(
+            format!("{err}")
+                .starts_with("induction on nat: proof for constructor succ does not match"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -467,26 +467,26 @@ impl Signature {
             version,
             known_ctors: known.clone(),
         });
+        // Binder names, interned once: the left side's arguments are
+        // a0…, the right side's b0….
+        let arity = dt.ctors.iter().map(|c| c.args.len()).max().unwrap_or(0);
+        let a: Vec<Symbol> = (0..arity).map(|k| Symbol::new(&format!("a{k}"))).collect();
+        let b: Vec<Symbol> = (0..arity).map(|k| Symbol::new(&format!("b{k}"))).collect();
+        let binders = |names: &[Symbol], c: &CtorSig| -> Vec<(Symbol, Sort)> {
+            names.iter().copied().zip(c.args.iter().copied()).collect()
+        };
+        let applied = |c: &CtorSig, vs: &[(Symbol, Sort)]| {
+            Term::Ctor(c.name, vs.iter().map(|(v, _)| Term::Var(*v)).collect())
+        };
         // Disjointness: ∀ x̄ ȳ, C x̄ = D ȳ → False   for C ≠ D.
         for (i, c) in dt.ctors.iter().enumerate() {
             for d in dt.ctors.iter().skip(i + 1) {
-                let cx: Vec<(Symbol, Sort)> = c
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| (Symbol::new(&format!("a{k}")), *s))
-                    .collect();
-                let dy: Vec<(Symbol, Sort)> = d
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| (Symbol::new(&format!("b{k}")), *s))
-                    .collect();
-                let lhs = Term::Ctor(c.name, cx.iter().map(|(v, _)| Term::Var(*v)).collect());
-                let rhs = Term::Ctor(d.name, dy.iter().map(|(v, _)| Term::Var(*v)).collect());
-                let mut binders = cx;
-                binders.extend(dy);
-                let prop = Prop::foralls(&binders, Prop::imp(Prop::Eq(lhs, rhs), Prop::False));
+                let cx = binders(&a, c);
+                let dy = binders(&b, d);
+                let eq = Prop::Eq(applied(c, &cx), applied(d, &dy));
+                let mut vars = cx;
+                vars.extend(dy);
+                let prop = Prop::foralls(&vars, Prop::imp(eq, Prop::False));
                 let name = Symbol::new(&format!("{datatype}_disj_{}_{}_{version}", c.name, d.name));
                 if !self.fact_index.contains_key(&name) {
                     self.add_fact(name, prop, FactKind::PrecConsequence)?;
@@ -494,26 +494,15 @@ impl Signature {
             }
         }
         // Injectivity: ∀ x̄ ȳ, C x̄ = C ȳ → xᵢ = yᵢ (one fact per argument).
-        for c in &dt.ctors {
-            for (k, _s) in c.args.iter().enumerate() {
-                let cx: Vec<(Symbol, Sort)> = c
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(j, s)| (Symbol::new(&format!("a{j}")), *s))
-                    .collect();
-                let cy: Vec<(Symbol, Sort)> = c
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(j, s)| (Symbol::new(&format!("b{j}")), *s))
-                    .collect();
-                let lhs = Term::Ctor(c.name, cx.iter().map(|(v, _)| Term::Var(*v)).collect());
-                let rhs = Term::Ctor(c.name, cy.iter().map(|(v, _)| Term::Var(*v)).collect());
-                let concl = Prop::Eq(Term::Var(cx[k].0), Term::Var(cy[k].0));
-                let mut binders = cx;
-                binders.extend(cy);
-                let prop = Prop::foralls(&binders, Prop::imp(Prop::Eq(lhs, rhs), concl));
+        for c in dt.ctors.iter().filter(|c| !c.args.is_empty()) {
+            let cx = binders(&a, c);
+            let cy = binders(&b, c);
+            let eq = Prop::Eq(applied(c, &cx), applied(c, &cy));
+            let mut vars = cx;
+            vars.extend(cy);
+            for k in 0..c.args.len() {
+                let concl = Prop::Eq(Term::Var(a[k]), Term::Var(b[k]));
+                let prop = Prop::foralls(&vars, Prop::imp(eq, concl));
                 let name = Symbol::new(&format!("{datatype}_inj_{}_{k}_{version}", c.name));
                 if !self.fact_index.contains_key(&name) {
                     self.add_fact(name, prop, FactKind::PrecConsequence)?;
@@ -1063,6 +1052,64 @@ mod tests {
         assert!(s.fact(sym("nat_disj_zero_succ_Base")).is_some());
         assert!(s.fact(sym("nat_inj_succ_0_Base")).is_some());
         assert!(s.prec_covers(sym("nat"), sym("succ")));
+
+        // The complete fact list of a datatype with a two-argument
+        // constructor: every pairwise disjointness in constructor order,
+        // then one injectivity fact per constructor argument, with binder
+        // names a0…/b0… shared between the two sides.
+        s.add_datatype(Datatype {
+            name: sym("tree"),
+            ctors: vec![
+                CtorSig::new("leaf", vec![Sort::named("nat")]),
+                CtorSig::new("node", vec![Sort::named("tree"), Sort::named("tree")]),
+                CtorSig::new("nil", vec![]),
+            ],
+            extensible: true,
+        })
+        .unwrap();
+        let before = s.facts().len();
+        s.add_partial_recursor(sym("tree"), sym("V")).unwrap();
+        let facts: Vec<(String, String)> = s.facts()[before..]
+            .iter()
+            .map(|f| {
+                assert_eq!(f.kind, FactKind::PrecConsequence);
+                (f.name.to_string(), f.prop.to_string())
+            })
+            .collect();
+        let want = [
+            (
+                "tree_disj_leaf_node_V",
+                "(forall (a0 : nat), (forall (b0 : tree), (forall (b1 : tree), \
+                 ((leaf a0) = (node b0 b1) -> False))))",
+            ),
+            (
+                "tree_disj_leaf_nil_V",
+                "(forall (a0 : nat), ((leaf a0) = nil -> False))",
+            ),
+            (
+                "tree_disj_node_nil_V",
+                "(forall (a0 : tree), (forall (a1 : tree), ((node a0 a1) = nil -> False)))",
+            ),
+            (
+                "tree_inj_leaf_0_V",
+                "(forall (a0 : nat), (forall (b0 : nat), ((leaf a0) = (leaf b0) -> a0 = b0)))",
+            ),
+            (
+                "tree_inj_node_0_V",
+                "(forall (a0 : tree), (forall (a1 : tree), (forall (b0 : tree), \
+                 (forall (b1 : tree), ((node a0 a1) = (node b0 b1) -> a0 = b0)))))",
+            ),
+            (
+                "tree_inj_node_1_V",
+                "(forall (a0 : tree), (forall (a1 : tree), (forall (b0 : tree), \
+                 (forall (b1 : tree), ((node a0 a1) = (node b0 b1) -> a1 = b1)))))",
+            ),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|(n, p)| (n.to_string(), p.to_string()))
+            .collect();
+        assert_eq!(facts, want);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! that `subst`/`replace`/`contains` use to prune untouched subtrees
 //! without walking (or allocating) anything.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -534,9 +535,15 @@ impl Prop {
             Prop::Or(a, b) => Prop::or(a.subst(map), b.subst(map)),
             Prop::Imp(a, b) => Prop::imp(a.subst(map), b.subst(map)),
             Prop::Forall(v, s, body) | Prop::Exists(v, s, body) => {
-                // Remove shadowed binding; rename if capture threatens.
-                let mut inner_map = map.clone();
-                inner_map.remove(v);
+                // Remove the shadowed binding (copying the map only when
+                // the binder shadows a key); rename if capture threatens.
+                let inner_map = if map.contains_key(v) {
+                    let mut m = map.clone();
+                    m.remove(v);
+                    Cow::Owned(m)
+                } else {
+                    Cow::Borrowed(map)
+                };
                 let would_capture = inner_map.values().any(|t| t.free_contains(*v));
                 let (v2, body2) = if would_capture {
                     let taken = |cand: Symbol| {

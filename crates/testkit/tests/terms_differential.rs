@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use objlang::intern::TermList;
 use objlang::syntax::{Prop, Term};
 use objlang::{sym, Symbol};
-use testkit::store_gen::{gen_obj_term, gen_prop};
+use testkit::store_gen::{gen_obj_term, gen_prop, gen_sort};
 use testkit::{run_cases, Rng};
 
 // ---------------------------------------------------------------------------
@@ -284,6 +284,70 @@ fn prop_subst1_matches_subst_map() {
         assert!(
             direct.alpha_eq(&via_map),
             "Prop::subst1 and Prop::subst disagree:\n  direct:  {direct}\n  via map: {via_map}"
+        );
+    });
+}
+
+/// The generator's name pool (`store_gen`'s), for keys and closed heads.
+const NAMES: [&str; 8] = ["a", "b", "c", "f", "g", "hyp", "tm", "zero"];
+
+/// A random closed term (no variables): a replacement that successive
+/// single substitutions can neither feed into one another nor capture.
+fn gen_closed_term(r: &mut Rng, depth: u32) -> Term {
+    let name = *r.pick(&NAMES);
+    if depth == 0 || r.below(3) == 0 {
+        return if r.flip() {
+            Term::lit(name)
+        } else {
+            Term::c0(name)
+        };
+    }
+    let args: Vec<Term> = (0..1 + r.below(3))
+        .map(|_| gen_closed_term(r, depth - 1))
+        .collect();
+    if r.flip() {
+        Term::ctor(name, args)
+    } else {
+        Term::func(name, args)
+    }
+}
+
+#[test]
+fn prop_subst_map_matches_successive_subst1() {
+    // With closed replacements, substituting a whole map at once equals
+    // substituting its keys one at a time, in any order. The props are
+    // wrapped in quantifiers over some of the map's own keys, and the
+    // generator's binders draw from the same name pool, so `Prop::subst`
+    // meets binders that shadow one key while others stay live — the
+    // case where it must drop exactly the shadowed binding.
+    run_cases("terms/prop_subst_map", 0x7e31_0106, 300, |r| {
+        // Bindings in generation order (a case replays from its seed),
+        // each key once.
+        let mut bindings: Vec<(Symbol, Term)> = Vec::new();
+        for _ in 0..2 + r.below(3) {
+            let name = *r.pick(&NAMES);
+            let key = sym(name);
+            let value = gen_closed_term(r, 2);
+            if !bindings.iter().any(|(k, _)| *k == key) {
+                bindings.push((key, value));
+            }
+        }
+        let map: HashMap<Symbol, Term> = bindings.iter().copied().collect();
+        let mut p = gen_prop(r, 4);
+        for _ in 0..r.below(3) {
+            let k = bindings[r.below(bindings.len() as u64) as usize].0;
+            p = if r.flip() {
+                Prop::Forall(k, gen_sort(r), p.into())
+            } else {
+                Prop::and(Prop::Exists(k, gen_sort(r), p.into()), p)
+            };
+        }
+        let via_map = p.subst(&map);
+        let successive = bindings.iter().fold(p, |q, (k, t)| q.subst1(*k, t));
+        assert!(
+            via_map.alpha_eq(&successive),
+            "Prop::subst of a map and successive subst1 disagree on {p}:\n  \
+             via map:    {via_map}\n  successive: {successive}"
         );
     });
 }
