@@ -254,6 +254,73 @@ fn redefine_recheck_serves_clean_variants_from_memo() {
     e.shutdown().unwrap();
 }
 
+/// Every theorem statement a cold Venn build registers, as the engine
+/// serves it and as `FamilyUniverse::check` renders it: a digest of the
+/// sorted `(family, field, statement)` list, plus a few statements
+/// verbatim.
+#[test]
+fn venn_theorem_statements_are_pinned() {
+    let e = Engine::start(no_snapshot(1));
+    let families = match e.run(Request::lattice_full()) {
+        Ok(Response::Lattice { ledger, .. }) => ledger.families().to_vec(),
+        other => panic!("unexpected {other:?}"),
+    };
+    let mut u = fpop::universe::FamilyUniverse::new();
+    let plan = families_stlc::lattice::Plan::new(&Feature::all()).unwrap();
+    families_stlc::lattice::build(&mut u, &plan, 1).unwrap();
+    let mut rows = Vec::new();
+    for fam in &families {
+        for field in fam.theorems.keys() {
+            let (family, field) = (fam.name.as_str().to_string(), field.as_str().to_string());
+            let statement = match e.run(Request::QueryTheorem {
+                family: family.clone(),
+                field: field.clone(),
+            }) {
+                Ok(Response::Theorem { statement, .. }) => statement,
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(u.check(&family, &field).unwrap(), statement);
+            rows.push((family, field, statement));
+        }
+    }
+    e.shutdown().unwrap();
+    rows.sort();
+    assert_eq!(rows.len(), 352, "theorem fields of the 16 Venn families");
+    let statement = |family: &str, field: &str| {
+        rows.iter()
+            .find(|(f, n, _)| f == family && n == field)
+            .map(|(_, _, s)| s.as_str())
+            .unwrap()
+    };
+    assert_eq!(
+        statement("STLC", "step_unit_inv"),
+        "STLC.step_unit_inv : forall (t' : tm), (STLC.step STLC.tm_unit t') -> False"
+    );
+    assert_eq!(
+        statement("STLCFix", "step_fix_inv"),
+        "STLCFix.step_fix_inv : forall (x : id), forall (b : tm), forall (t' : tm), \
+         (STLCFix.step (STLCFix.tm_fix x b) t') -> t' = (STLCFix.subst b x (STLCFix.tm_fix x b))"
+    );
+    assert_eq!(
+        statement("STLCFixProdSumIsorec", "typesafe"),
+        "STLCFixProdSumIsorec.typesafe : forall (ta : tm), forall (tb : tm), \
+         (STLCFixProdSumIsorec.steps ta tb) -> forall (T : ty), \
+         (STLCFixProdSumIsorec.hasty STLCFixProdSumIsorec.empty ta T) -> \
+         ((STLCFixProdSumIsorec.value tb) \\/ exists (t'' : tm), \
+         (STLCFixProdSumIsorec.step tb t''))"
+    );
+    // FNV-1a over the sorted rows, one `family\tfield\tstatement\n` each.
+    let digest = rows.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, (f, n, s)| {
+        format!("{f}\t{n}\t{s}\n")
+            .bytes()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    assert_eq!(
+        digest, 0xa9cd_d79c_287d_823f,
+        "rendered theorem statements changed"
+    );
+}
+
 #[test]
 fn stats_request_reports_session_and_engine() {
     let e = Engine::start(no_snapshot(2));

@@ -10,15 +10,26 @@
 //! independent naive implementation over an ordinary owned tree, on
 //! random terms from the codec generator (all four heads, deep and wide).
 //!
+//! The same oracle holds the kernel's `fsimpl` to its definition: on goals
+//! built from every Venn variant's recursive functions, `fsimpl` and
+//! `fsimpl_in` must give exactly what the `rewrite` tactic gives when run
+//! with each computation and delta equation by name, in fact order, to a
+//! fixpoint.
+//!
 //! Replay a failure with `FPOP_TEST_SEED=0x… cargo test -p testkit`;
 //! scale iterations with `FPOP_TEST_ITERS=N` (see `docs/TESTING.md`).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
+use families_stlc::{lattice, variant_name, Feature};
+use fpop::universe::FamilyUniverse;
 use objlang::intern::TermList;
-use objlang::syntax::{Prop, Term};
-use objlang::{sym, Symbol};
+use objlang::sig::{FactKind, FnDef, Signature};
+use objlang::syntax::{Prop, Sort, Term};
+use objlang::{sym, ProofState, Sequent, Symbol};
 use testkit::store_gen::{gen_obj_term, gen_prop, gen_sort};
+use testkit::term_gen::{erase, gen_typed_term};
 use testkit::{run_cases, Rng};
 
 // ---------------------------------------------------------------------------
@@ -366,6 +377,203 @@ fn digest_is_stable_across_construction_orders() {
         assert_eq!(a.total_size(), b.total_size());
         assert_eq!(a.free_vars(), b.free_vars());
     });
+}
+
+// ---------------------------------------------------------------------------
+// fsimpl against the rewrite tactic
+// ---------------------------------------------------------------------------
+
+/// Each Venn variant's features and compiled signature, built once.
+fn venn_variants() -> &'static [(Vec<Feature>, Arc<Signature>)] {
+    static VARIANTS: OnceLock<Vec<(Vec<Feature>, Arc<Signature>)>> = OnceLock::new();
+    VARIANTS.get_or_init(|| {
+        let mut u = FamilyUniverse::new();
+        let plan = lattice::Plan::new(&Feature::all()).unwrap();
+        lattice::build(&mut u, &plan, 1).expect("Venn lattice builds");
+        (0..16u32)
+            .map(|mask| {
+                let feats: Vec<Feature> = (0..4)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| Feature::all()[i])
+                    .collect();
+                let fam = u.family(&variant_name(&feats)).expect("variant built");
+                (feats, Arc::clone(&fam.sig))
+            })
+            .collect()
+    })
+}
+
+/// Generates goal terms over one variant: applications of its recursive
+/// functions to `term_gen` terms, to constructor trees of the other
+/// sorts, to nested applications, and to sequent variables.
+struct GoalGen<'a> {
+    sig: &'a Signature,
+    feats: &'a [Feature],
+    /// The variant's recursive functions, by name.
+    rec_fns: Vec<(Symbol, Vec<Sort>, Sort)>,
+    /// Sequent variables introduced so far.
+    vars: Vec<(Symbol, Sort)>,
+    /// Variables named so far (a quantified one leaves `vars`).
+    named: usize,
+}
+
+impl GoalGen<'_> {
+    fn var(&mut self, sort: Sort) -> Term {
+        let v = sym(&format!("x{}", self.named));
+        self.named += 1;
+        self.vars.push((v, sort));
+        Term::Var(v)
+    }
+
+    fn app(&mut self, r: &mut Rng, depth: u32) -> (Term, Sort) {
+        let (f, params, ret) = self.rec_fns[r.below(self.rec_fns.len() as u64) as usize].clone();
+        let args = params.iter().map(|s| self.arg(r, *s, depth)).collect();
+        (Term::Fn(f, args), ret)
+    }
+
+    fn arg(&mut self, r: &mut Rng, sort: Sort, depth: u32) -> Term {
+        if r.below(4) == 0 {
+            return self.var(sort);
+        }
+        if depth > 0 && r.below(4) == 0 {
+            let nested: Vec<usize> = (0..self.rec_fns.len())
+                .filter(|i| self.rec_fns[*i].2 == sort)
+                .collect();
+            if !nested.is_empty() {
+                let (f, params, _) = self.rec_fns[*r.pick(&nested)].clone();
+                let args = params.iter().map(|s| self.arg(r, *s, depth - 1)).collect();
+                return Term::Fn(f, args);
+            }
+        }
+        let name = match sort {
+            Sort::Id => {
+                let name = *r.pick(&NAMES);
+                return Term::lit(name);
+            }
+            Sort::Named(n) => n,
+        };
+        if name.as_str() == "tm" {
+            return erase(&gen_typed_term(r, self.feats, 2).term);
+        }
+        let dt = self.sig.datatype(name).expect("named sorts are datatypes");
+        let ctors: Vec<_> = dt
+            .ctors
+            .iter()
+            .filter(|c| depth > 0 || c.args.is_empty())
+            .cloned()
+            .collect();
+        if ctors.is_empty() {
+            return self.var(sort);
+        }
+        let ctor = r.pick(&ctors);
+        let args = ctor
+            .args
+            .iter()
+            .map(|s| self.arg(r, *s, depth.saturating_sub(1)))
+            .collect();
+        Term::Ctor(ctor.name, args)
+    }
+}
+
+/// The reference `fsimpl`: the `rewrite` tactic (or `rewrite_in` on
+/// hypothesis `hyp`) with every computation and delta equation by name,
+/// in fact order, failures ignored, until a pass changes nothing.
+fn rewrite_to_fixpoint(st: &mut ProofState<'_>, hyp: Option<&str>) {
+    let names: Vec<String> = st
+        .signature()
+        .facts()
+        .iter()
+        .filter(|f| matches!(f.kind, FactKind::CompEq | FactKind::DeltaEq))
+        .map(|f| f.name.as_str().to_string())
+        .collect();
+    let target = |st: &ProofState<'_>| {
+        let seq = st.focused().unwrap();
+        match hyp {
+            None => seq.goal,
+            Some(h) => *seq.hyp(sym(h)).unwrap(),
+        }
+    };
+    for _ in 0..2000 {
+        let mut changed = false;
+        for n in &names {
+            let before = target(st);
+            let ran = match hyp {
+                None => st.rewrite(n),
+                Some(h) => st.rewrite_in(n, h),
+            };
+            if ran.is_ok() && target(st) != before {
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+}
+
+#[test]
+fn fsimpl_agrees_with_rewriting_to_a_fixpoint() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let variants = venn_variants();
+    let rewritten = AtomicUsize::new(0);
+    run_cases("terms/fsimpl", 0x7e31_0009, 48, |r| {
+        let (feats, sig) = &variants[r.below(variants.len() as u64) as usize];
+        let mut rec_fns: Vec<(Symbol, Vec<Sort>, Sort)> = sig
+            .functions()
+            .filter(|f| matches!(f, FnDef::Rec(_)))
+            .map(|f| (f.name(), f.param_sorts(), f.ret_sort()))
+            .collect();
+        rec_fns.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+        let mut g = GoalGen {
+            sig,
+            feats,
+            rec_fns,
+            vars: Vec::new(),
+            named: 0,
+        };
+        // Goal: `f(args) = res`, sometimes under a binder for one of its
+        // own variables, so matches that would capture it are refused.
+        let (app, ret) = g.app(r, 2);
+        let mut goal = Prop::eq(app, g.var(ret));
+        if r.flip() {
+            let candidates: Vec<usize> = (0..g.vars.len())
+                .filter(|i| app.free_contains(g.vars[*i].0))
+                .collect();
+            if !candidates.is_empty() {
+                let (q, s) = g.vars.remove(*r.pick(&candidates));
+                goal = Prop::Forall(q, s, goal.into());
+            }
+        }
+        let (happ, hret) = g.app(r, 2);
+        let hyp = Prop::eq(happ, g.var(hret));
+        let seq = Sequent {
+            vars: g.vars,
+            hyps: vec![(sym("H"), hyp)],
+            goal,
+        };
+        let mut fast = ProofState::with_sequent(sig, seq.clone()).expect("well-sorted goal");
+        fast.fsimpl().unwrap();
+        fast.fsimpl_in("H").unwrap();
+        let mut reference = ProofState::with_sequent(sig, seq.clone()).unwrap();
+        rewrite_to_fixpoint(&mut reference, None);
+        rewrite_to_fixpoint(&mut reference, Some("H"));
+        assert_eq!(
+            fast.goals(),
+            reference.goals(),
+            "fsimpl diverges from rewriting to a fixpoint on\n{seq}"
+        );
+        if fast.goals() != [seq] {
+            rewritten.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    // Non-vacuity: most goals apply a function to constructors, so the
+    // equations must have fired (unless a replay pinned a single case).
+    if std::env::var("FPOP_TEST_SEED").is_err() {
+        assert!(
+            rewritten.load(Ordering::Relaxed) > 0,
+            "no fsimpl ever rewrote anything"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -68,6 +68,60 @@ fn rewrite_requires_an_occurrence() {
     st.qed().unwrap();
 }
 
+/// The four ways a `rewrite` can fail, each with its exact message, in
+/// both directions and inside a hypothesis.
+#[test]
+fn rewrite_error_texts() {
+    let s = sig();
+    let zero = Term::c0("zero");
+    let succ = |t| Term::ctor("succ", vec![t]);
+    // H1: an equation, H2: a conditional one, H3: not an equation,
+    // H4: an equation whose binder `k` the left side does not determine.
+    let goal = Prop::imps(
+        &[
+            Prop::eq(succ(zero), zero),
+            Prop::imp(Prop::True, Prop::eq(zero, zero)),
+            Prop::True,
+            Prop::forall("k", nat(), Prop::eq(succ(zero), Term::var("k"))),
+        ],
+        Prop::eq(succ(zero), succ(zero)),
+    );
+    let mut st = ProofState::new(&s, goal).unwrap();
+    for h in ["H1", "H2", "H3", "H4"] {
+        st.intro_as(h).unwrap();
+    }
+    let text = |r: objlang::Result<()>| r.unwrap_err().to_string();
+    assert_eq!(
+        text(st.rewrite("add_zero_eq")),
+        "rewrite: no occurrence of (add zero ?m)"
+    );
+    assert_eq!(
+        text(st.rewrite_rev("add_succ_eq")),
+        "rewrite: no occurrence of (succ (add ?n ?m))"
+    );
+    assert_eq!(
+        text(st.rewrite_in("add_succ_eq", "H1")),
+        "rewrite: no occurrence of (add (succ ?n) ?m)"
+    );
+    assert_eq!(
+        text(st.rewrite("H2")),
+        "rewrite: conditional equations are not supported"
+    );
+    assert_eq!(text(st.rewrite("H3")), "rewrite: not an equation: True");
+    assert_eq!(
+        text(st.rewrite_rev_in("H3", "H1")),
+        "rewrite: not an equation: True"
+    );
+    assert_eq!(
+        text(st.rewrite("H4")),
+        "rewrite: variable ?k of the equation not determined by the match"
+    );
+    // A failed rewrite leaves the goal as it was.
+    assert_eq!(st.focused().unwrap().goal, Prop::eq(succ(zero), succ(zero)));
+    st.rewrite("H1").unwrap();
+    assert_eq!(st.focused().unwrap().goal, Prop::eq(zero, zero));
+}
+
 #[test]
 fn exists_checks_witness_sort() {
     let s = sig();
