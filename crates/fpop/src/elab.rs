@@ -34,7 +34,7 @@ use objlang::induction::{missing_recursion_cases, DataInduction, Motive, RuleInd
 use objlang::proof::ProvedSequent;
 use objlang::sig::{Datatype, FactKind, FnDef, IndPred, RecFn, Signature};
 use objlang::syntax::Prop;
-use objlang::tactic::{prove, prove_sequent};
+use objlang::tactic::{prove, prove_closed_world, prove_sequent};
 
 use modsys::{CheckLedger, Item, ModEntry, Module, ModuleEnv, ModuleType};
 
@@ -459,11 +459,8 @@ fn check_field(
                         ledger.record_shared(unit);
                     } else {
                         ledger.record_cache_miss();
-                        let mut st = objlang::ProofState::new(view, statement.clone())?;
-                        st.closed_world = true;
-                        objlang::tactic::run_script(&mut st, script)
+                        prove_closed_world(view, statement.clone(), script)
                             .map_err(|e| e.with_context(format!("re-provable proof of {name}")))?;
-                        st.qed()?;
                         txn.insert_theorem(statement.clone(), script.clone(), cw_key, okey);
                         ledger.record_checked(unit);
                     }

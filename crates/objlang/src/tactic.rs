@@ -377,8 +377,29 @@ pub fn prove(
     prop: Prop,
     script: &[Tactic],
 ) -> Result<crate::proof::Theorem> {
+    prove_in(sig, prop, false, script)
+}
+
+/// Proves a closed proposition with closed-world reasoning permitted on
+/// extensible datatypes and predicates: the reprove-on-extend proofs
+/// (paper §7) that every family extending the inspected types re-runs.
+pub fn prove_closed_world(
+    sig: &crate::sig::Signature,
+    prop: Prop,
+    script: &[Tactic],
+) -> Result<crate::proof::Theorem> {
+    prove_in(sig, prop, true, script)
+}
+
+fn prove_in(
+    sig: &crate::sig::Signature,
+    prop: Prop,
+    closed_world: bool,
+    script: &[Tactic],
+) -> Result<crate::proof::Theorem> {
     let _span = trace::span!("objlang.prove", "tactics={}", script.len());
     let mut st = ProofState::new(sig, prop)?;
+    st.closed_world = closed_world;
     run_script(&mut st, script)?;
     st.qed()
 }
