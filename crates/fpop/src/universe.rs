@@ -227,7 +227,7 @@ impl FamilyUniverse {
             .family(family)
             .ok_or_else(|| Error::new(format!("unknown family {family}")))?;
         if let Some(prop) = fam.theorems.get(&Symbol::new(field)) {
-            return Ok(crate::report::qualified_display(fam, field, prop));
+            return Ok(crate::report::QualifiedNames::new(fam).display(field, prop));
         }
         // Function fields print their (qualified) type signature.
         if let Some(f) = fam.sig.function(Symbol::new(field)) {
