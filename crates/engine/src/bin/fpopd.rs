@@ -35,6 +35,9 @@
 //! $ printf 'lattice full\nmetrics\nslowlog\nshutdown\n' | nc 127.0.0.1 7878
 //! ```
 
+// Only `main` differs off unix; the helpers it would use go unused there.
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
+
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -125,6 +128,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// with headroom; the ring overwrites the oldest beyond that.
 const TRACE_CAPACITY: usize = 65_536;
 
+#[cfg(not(unix))]
+fn main() -> ExitCode {
+    eprintln!("fpopd: the prover daemon requires a unix platform");
+    ExitCode::FAILURE
+}
+
+#[cfg(unix)]
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {

@@ -1,32 +1,47 @@
-//! The nonblocking connection layer: one poller thread multiplexes every
-//! client connection, speaking **both** wire protocols on one port.
+//! The nonblocking connection layer: the one server loop of both `fpopd`
+//! and `fpoprouter`. One poller thread multiplexes every client
+//! connection, speaking **both** wire protocols on one port, and hands
+//! each request to a [`Backend`]: the local [`Engine`]
+//! ([`EngineBackend`]) or the fleet router (`fleet::Router`).
 //!
 //! ## Protocol sniffing
 //!
 //! The first byte of a connection decides its protocol for life:
 //! [`crate::fpopb::MARKER`] (`0xFB`, not a valid UTF-8 leading byte)
 //! selects the binary `fpopb/1` frame protocol; anything else selects
-//! the legacy newline-delimited text protocol ([`crate::proto`]). See
+//! the newline-delimited text protocol ([`crate::proto`]). See
 //! `docs/PROTOCOL.md` for the normative spec of both.
 //!
 //! ## Event-loop architecture
 //!
-//! A single thread owns a [`crate::poll::Poller`] (epoll on Linux) that
-//! watches the listener, a cross-thread [`crate::poll::Waker`], and
-//! every connection. Request execution stays on the engine's worker
-//! pool: the loop submits with [`crate::Engine::submit_nowait`] (so
-//! backpressure surfaces as an error reply, never a stalled poller) and
-//! registers a [`crate::Ticket::on_done`] hook that pushes the
-//! completion onto a queue and wakes the poller. Text connections
-//! answer **in order** (a reply-slot queue preserves request order
-//! across slow elaborations); binary connections answer **out of
-//! order**, tagged by correlation id — that is what makes pipelining
-//! pay.
+//! A single thread owns a [`Poller`] (epoll on Linux) that watches the
+//! listener, every client connection, and the backend's own sockets: the
+//! engine backend's cross-thread [`Waker`], or the router's one
+//! persistent upstream connection per live shard. `Hello`, `Ping`,
+//! `Shutdown` and malformed input are answered here, at the edge; every
+//! other request goes to the backend, which answers at once or in a
+//! later turn. The engine backend submits with
+//! [`crate::Engine::submit_nowait`] (so backpressure surfaces as an error
+//! reply, never a stalled poller) and registers a
+//! [`crate::Ticket::on_done`] hook that queues the completion and wakes
+//! the poller. Text connections answer **in order** (numbered reply
+//! slots preserve request order across slow elaborations); binary
+//! connections answer **out of order**, tagged by correlation id — that
+//! is what makes pipelining pay.
 //!
 //! Responses accumulate in a per-connection write buffer and are
 //! flushed **once per readiness turn**, not per reply — a pipelined
 //! batch of N requests costs a handful of write syscalls, not N (the
 //! regression test pins this via `engine_conn_write_flushes_total`).
+//! A connection that has read EOF is watched for writability only while
+//! it has bytes to write, so a half-closed client never spins the loop.
+//!
+//! ## Shutdown drain
+//!
+//! Once `stop` is set the loop stops accepting and reading. It keeps
+//! turning until nothing is pending or [`DRAIN_DEADLINE`] passes,
+//! answers what is left with `ShuttingDown`, and writes out every
+//! connection's buffer.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -38,30 +53,37 @@ use std::time::{Duration, Instant};
 
 use crate::engine::{Engine, Ticket};
 use crate::fpopb::{self, DecodeStep, ErrCode, Frame, FrameType};
-use crate::poll::{Interest, Poller, Waker};
+use crate::poll::{Event, Interest, Poller, Waker};
 use crate::proto;
-use crate::request::{EngineError, Priority, Request, Response};
+use crate::request::{EngineError, Priority, Request};
 
 const TOKEN_LISTENER: usize = 0;
-const TOKEN_WAKER: usize = 1;
-const FIRST_CONN_TOKEN: usize = 2;
+const FIRST_CONN_TOKEN: usize = 1;
+
+/// Tokens from here up belong to the backend: `BACKEND_TOKEN + i` is
+/// handed to [`Backend::event`] as `i`.
+pub(crate) const BACKEND_TOKEN: usize = 1 << (usize::BITS - 1);
 
 /// Cap on a single text-protocol line; a line that grows past this
 /// without a newline is answered with an error and the connection
 /// closed (the binary protocol has its own [`fpopb::MAX_BODY`] cap).
 const MAX_TEXT_LINE: usize = 4 * 1024 * 1024;
 
+/// Cap on a socket's unprocessed input between turns.
+const MAX_BUFFERED: usize = fpopb::MAX_BODY + MAX_TEXT_LINE;
+
 /// How long the event loop sleeps at most before re-checking the stop
 /// flag (external shutdown without a wake).
 const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// How long graceful shutdown waits for in-flight requests to complete
-/// before dropping their connections.
+/// before answering them with `ShuttingDown`.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
 /// The connection layer's instruments: `engine_conn_*` counters in the
-/// served engine's session registry, so they render in its `metrics`
-/// exposition (catalog in `docs/OBSERVABILITY.md`).
+/// backend's registry — the served engine's session registry, or the
+/// router's own — so they render in its `metrics` exposition (catalog in
+/// `docs/OBSERVABILITY.md`).
 struct ConnMetrics {
     accepted: Arc<trace::Counter>,
     closed: Arc<trace::Counter>,
@@ -72,10 +94,6 @@ struct ConnMetrics {
     /// pipelining win shows up here — 100 pipelined requests should cost
     /// a handful of flushes, not 100.
     write_flushes: Arc<trace::Counter>,
-    /// Template submissions served inline from the memoized response,
-    /// without touching the queue or a worker.
-    template_fast_hits: Arc<trace::Counter>,
-    submitted: Arc<trace::Counter>,
 }
 
 impl ConnMetrics {
@@ -99,17 +117,214 @@ impl ConnMetrics {
                 "engine_conn_write_flushes_total",
                 "readiness turns that issued at least one write per connection",
             ),
-            template_fast_hits: reg.counter(
-                "engine_conn_template_fast_hits_total",
-                "template submissions served inline from the memoized response",
-            ),
-            submitted: reg.counter(
-                "engine_conn_submitted_total",
-                "requests submitted to the engine by the connection layer",
-            ),
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// What the edge and a backend exchange
+// ---------------------------------------------------------------------------
+
+/// Where a backend's answer goes: a client connection, and in it a
+/// binary correlation id or a numbered text reply slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct ReplyTo {
+    pub(crate) token: usize,
+    pub(crate) slot: Slot,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Slot {
+    /// A binary request: answered by a frame under this correlation id.
+    Frame(u64),
+    /// A text request: the n-th line of its connection, answered in order.
+    Line(u64),
+}
+
+/// A reply frame's type and body. A text connection renders it as one
+/// line: `err {escape(reason)}` for [`FrameType::Err`], otherwise
+/// `ok {escape(body)}` — for an engine result, the line
+/// [`proto::render_result`] renders, and for a shard's reply, the line
+/// the shard would have sent.
+pub(crate) struct Answer {
+    pub(crate) ty: FrameType,
+    pub(crate) body: Vec<u8>,
+}
+
+impl Answer {
+    pub(crate) fn ok(payload: impl Into<Vec<u8>>) -> Answer {
+        Answer {
+            ty: FrameType::Ok,
+            body: payload.into(),
+        }
+    }
+
+    pub(crate) fn err(code: ErrCode, reason: &str) -> Answer {
+        let mut body = Vec::with_capacity(1 + reason.len());
+        body.push(code as u8);
+        body.extend_from_slice(reason.as_bytes());
+        Answer {
+            ty: FrameType::Err,
+            body,
+        }
+    }
+
+    fn of_error(e: &EngineError) -> Answer {
+        Answer::err(ErrCode::of_engine(e), &e.to_string())
+    }
+
+    fn line(&self) -> String {
+        let (verdict, payload) = match self.ty {
+            FrameType::Err => ("err", self.body.get(1..).unwrap_or_default()),
+            _ => ("ok", &self.body[..]),
+        };
+        format!(
+            "{verdict} {}",
+            proto::escape(&String::from_utf8_lossy(payload))
+        )
+    }
+}
+
+impl From<Frame> for Answer {
+    /// A shard's reply, forwarded as is.
+    fn from(frame: Frame) -> Answer {
+        Answer {
+            ty: frame.ty,
+            body: frame.body,
+        }
+    }
+}
+
+/// Answers a backend owes, delivered by the edge once per turn.
+pub(crate) type Outbox = Vec<(ReplyTo, Answer)>;
+
+/// A request the edge hands to the backend, decoded from either
+/// protocol, with the client's own frame body where it came in binary:
+/// the router forwards that body unchanged.
+pub(crate) enum Job<'a> {
+    /// A request, its priority, and the frame body (`None` for text).
+    Submit(Request, Priority, Option<&'a [u8]>),
+    /// A template digest, its priority, and the frame body.
+    SubmitTemplate(u64, Priority, &'a [u8]),
+    RegisterTemplate(Request, &'a [u8]),
+    Checkpoint,
+    SlowLog,
+}
+
+/// What executes the requests the edge does not answer itself. Exactly
+/// two implementations: [`EngineBackend`] and the fleet's `Router`.
+pub(crate) trait Backend {
+    /// The registry the edge's `engine_conn_*` counters land in.
+    fn registry(&self) -> &trace::Registry;
+    /// Registers the backend's own fds (under [`BACKEND_TOKEN`] and up).
+    fn attach(&mut self, _: &mut Poller) -> std::io::Result<()> {
+        Ok(())
+    }
+    /// Takes one request; its answer goes to `out`, now or in a later
+    /// turn, exactly once.
+    fn dispatch(&mut self, to: ReplyTo, job: Job<'_>, poller: &mut Poller, out: &mut Outbox);
+    /// A readiness event on backend token `BACKEND_TOKEN + index`.
+    fn event(&mut self, index: usize, ev: &Event, poller: &mut Poller, out: &mut Outbox);
+    /// Runs once per turn, after every event.
+    fn turn(&mut self, poller: &mut Poller, out: &mut Outbox);
+    /// Gives up on every pending request (drain deadline), listing where
+    /// answers are still owed.
+    fn abandon(&mut self, owed: &mut Vec<ReplyTo>);
+}
+
+// ---------------------------------------------------------------------------
+// Sockets
+// ---------------------------------------------------------------------------
+
+/// A registered nonblocking socket with its buffers: a client connection
+/// at the edge, or the router's connection to a shard.
+pub(crate) struct Link {
+    pub(crate) stream: TcpStream,
+    pub(crate) rbuf: Vec<u8>,
+    pub(crate) wbuf: Vec<u8>,
+    interest: Interest,
+}
+
+impl Link {
+    /// Makes `stream` nonblocking and registers it for reads.
+    pub(crate) fn register(
+        stream: TcpStream,
+        poller: &mut Poller,
+        token: usize,
+    ) -> std::io::Result<Link> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true).ok();
+        poller.register(stream.as_raw_fd(), token, Interest::READ)?;
+        Ok(Link {
+            stream,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            interest: Interest::READ,
+        })
+    }
+
+    /// Appends everything the socket has to `rbuf`: `Ok(false)` at EOF.
+    pub(crate) fn fill(&mut self) -> std::io::Result<bool> {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&buf[..n]);
+                    // Over-cap lines/frames are handled by the decoders;
+                    // this only guards pathological growth between turns.
+                    if self.rbuf.len() > MAX_BUFFERED {
+                        return Err(std::io::ErrorKind::InvalidData.into());
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Writes as much of `wbuf` as the socket accepts.
+    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
+        let mut written = 0;
+        let result = loop {
+            if written == self.wbuf.len() {
+                break Ok(());
+            }
+            match self.stream.write(&self.wbuf[written..]) {
+                Ok(0) => break Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            }
+        };
+        self.wbuf.drain(..written);
+        result
+    }
+
+    /// Re-registers when `interest` differs from the current one (level
+    /// triggered: permanent write interest would spin the loop on an
+    /// always-writable socket).
+    pub(crate) fn watch(&mut self, poller: &mut Poller, token: usize, interest: Interest) {
+        if interest != self.interest
+            && poller
+                .modify(self.stream.as_raw_fd(), token, interest)
+                .is_ok()
+        {
+            self.interest = interest;
+        }
+    }
+
+    pub(crate) fn push_frame(&mut self, ty: FrameType, corr: u64, body: &[u8]) {
+        self.wbuf
+            .extend_from_slice(&fpopb::encode_frame(ty, corr, body));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The edge
+// ---------------------------------------------------------------------------
 
 /// Which protocol a connection speaks (decided by its first byte).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,121 +334,138 @@ enum Protocol {
     Binary,
 }
 
-/// A reply slot of a text connection: text answers **in order**, so a
-/// slow request parks a `Pending` slot that blocks later (already
-/// computed) replies until it resolves.
-enum TextSlot {
-    Ready(String),
-    Pending(Ticket),
-}
-
 struct Conn {
-    stream: TcpStream,
+    link: Link,
     proto: Protocol,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    /// Text protocol: in-order reply slots.
-    text_slots: VecDeque<TextSlot>,
-    /// Binary protocol: in-flight tickets by correlation id (replies go
-    /// out in completion order).
-    pending_bin: HashMap<u64, Ticket>,
-    /// Flush the write buffer, then close (fatal protocol error, EOF,
-    /// or text `shutdown`).
+    /// Text protocol: reply slots in request order, `None` while the
+    /// backend works on it; the front slot is line number `text_base`.
+    slots: VecDeque<Option<String>>,
+    text_base: u64,
+    /// Requests handed to the backend and not yet answered.
+    pending: usize,
+    /// Read EOF: nothing more to read; close once pending work flushes.
+    eof: bool,
+    /// Fatal protocol error: discard further input, flush, then close.
     closing: bool,
-    /// Currently registered for writability too (write backpressure).
-    wants_write: bool,
-    /// Peer closed its read side / hard error: stop writing entirely.
+    /// Hard I/O error: stop writing entirely.
     dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            proto: Protocol::Undecided,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            text_slots: VecDeque::new(),
-            pending_bin: HashMap::new(),
-            closing: false,
-            wants_write: false,
-            dead: false,
-        }
-    }
-
-    fn push_frame(&mut self, ty: FrameType, corr: u64, body: &[u8]) {
-        self.wbuf
-            .extend_from_slice(&fpopb::encode_frame(ty, corr, body));
-    }
-
     fn push_err_frame(&mut self, corr: u64, code: ErrCode, reason: &str) {
-        let mut body = vec![code as u8];
-        body.extend_from_slice(reason.as_bytes());
-        self.push_frame(FrameType::Err, corr, &body);
+        let a = Answer::err(code, reason);
+        self.link.push_frame(a.ty, corr, &a.body);
     }
 
-    fn push_text_line(&mut self, line: &str) {
-        self.wbuf.extend_from_slice(line.as_bytes());
-        self.wbuf.push(b'\n');
+    /// Queues a text reply the edge answered itself, behind pending ones.
+    fn push_line(&mut self, line: String) {
+        self.slots.push_back(Some(line));
+    }
+
+    /// Moves every deliverable in-order text reply to the write buffer.
+    fn drain_slots(&mut self) {
+        while let Some(Some(_)) = self.slots.front() {
+            if let Some(Some(line)) = self.slots.pop_front() {
+                self.link.wbuf.extend_from_slice(line.as_bytes());
+                self.link.wbuf.push(b'\n');
+                self.text_base += 1;
+            }
+        }
     }
 }
 
-/// Serves both protocols on `listener` until `stop` is set (by a client
-/// `shutdown`, either protocol, or externally). Equivalent entry point
-/// to [`crate::proto::serve`] — which delegates here on unix.
+/// The edge's state besides its connections.
+struct Edge<'a, B> {
+    backend: B,
+    poller: Poller,
+    m: ConnMetrics,
+    out: Outbox,
+    stop: &'a AtomicBool,
+}
+
+/// Serves both protocols on `listener` with `backend` until `stop` is
+/// set (by a client `shutdown`, either protocol, or externally), then
+/// drains.
 ///
 /// # Errors
 ///
 /// Fatal listener/poller errors; per-connection errors only drop that
 /// connection.
-pub fn serve(
-    engine: Arc<Engine>,
+pub(crate) fn run<B: Backend>(
+    mut backend: B,
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    let m = ConnMetrics::register(engine.session().registry());
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
-    let waker = Waker::new()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-    poller.register(waker.read_fd(), TOKEN_WAKER, Interest::READ)?;
-
-    // Worker-pool completion hooks push (conn token, correlation id)
-    // here and wake the poller; text completions use corr = 0 (delivery
-    // drains the in-order slot queue, not a corr lookup).
-    let completions: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-
+    backend.attach(&mut poller)?;
+    let mut edge = Edge {
+        m: ConnMetrics::register(backend.registry()),
+        backend,
+        poller,
+        out: Vec::new(),
+        stop,
+    };
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = Vec::new();
+    let mut drain_until: Option<Instant> = None;
 
-    while !stop.load(Ordering::SeqCst) {
+    loop {
+        if drain_until.is_none() && stop.load(Ordering::SeqCst) {
+            let _ = edge.poller.deregister(listener.as_raw_fd());
+            drain_until = Some(Instant::now() + DRAIN_DEADLINE);
+        }
+        if let Some(deadline) = drain_until {
+            if Instant::now() >= deadline || conns.values().all(|c| c.pending == 0) {
+                break;
+            }
+        }
         events.clear();
-        poller.wait(&mut events, Some(POLL_TIMEOUT))?;
+        edge.poller.wait(&mut events, Some(POLL_TIMEOUT))?;
 
         for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => loop {
+                TOKEN_LISTENER if drain_until.is_none() => loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            stream.set_nonblocking(true)?;
-                            stream.set_nodelay(true).ok();
                             let token = next_token;
                             next_token += 1;
-                            poller.register(stream.as_raw_fd(), token, Interest::READ)?;
-                            conns.insert(token, Conn::new(stream));
-                            m.accepted.inc();
+                            let link = Link::register(stream, &mut edge.poller, token)?;
+                            conns.insert(
+                                token,
+                                Conn {
+                                    link,
+                                    proto: Protocol::Undecided,
+                                    slots: VecDeque::new(),
+                                    text_base: 0,
+                                    pending: 0,
+                                    eof: false,
+                                    closing: false,
+                                    dead: false,
+                                },
+                            );
+                            edge.m.accepted.inc();
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                         Err(e) => return Err(e),
                     }
                 },
-                TOKEN_WAKER => waker.drain(),
+                TOKEN_LISTENER => {}
+                token if token >= BACKEND_TOKEN => {
+                    edge.backend
+                        .event(token - BACKEND_TOKEN, ev, &mut edge.poller, &mut edge.out);
+                }
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        if ev.readable {
-                            read_turn(conn, token, &engine, &stop, &m, &completions, &waker);
+                        if conn.eof {
+                            // No read interest after EOF: an error or a
+                            // full hangup means the peer is gone.
+                            conn.dead |= ev.hangup;
+                        } else if ev.readable && drain_until.is_none() {
+                            edge.read_turn(conn, token);
                         }
                         // Writability is consumed by the flush pass below.
                     }
@@ -241,569 +473,417 @@ pub fn serve(
             }
         }
 
-        // Deliver worker-pool completions that arrived up to this point
-        // (the waker may have fired for several at once, and hooks that
-        // ran inline during read_turn also land here).
-        let done: Vec<(usize, u64)> = {
-            let mut q = completions.lock().expect("completion queue poisoned");
-            std::mem::take(&mut *q)
-        };
-        for (token, corr) in done {
-            if let Some(conn) = conns.get_mut(&token) {
-                deliver_completion(conn, corr);
-            }
-        }
-        // In-order text slots may have become deliverable regardless of
-        // which completion fired; drain every text conn's front run.
-        for conn in conns.values_mut() {
-            if conn.proto == Protocol::Text {
-                drain_text_slots(conn);
-            }
+        edge.backend.turn(&mut edge.poller, &mut edge.out);
+        for (to, answer) in edge.out.drain(..) {
+            deliver(&mut conns, to, &answer);
         }
 
-        // One flush per connection per readiness turn — the batching fix
-        // (legacy code flushed per reply line).
-        let mut to_close: Vec<usize> = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            flush_conn(conn, &m);
-            let idle =
-                conn.text_slots.is_empty() && conn.pending_bin.is_empty() && conn.wbuf.is_empty();
-            if conn.dead || (conn.closing && idle) {
-                to_close.push(token);
-                continue;
+        // One flush per connection per readiness turn.
+        conns.retain(|&token, conn| {
+            conn.drain_slots();
+            if !conn.dead && !conn.link.wbuf.is_empty() {
+                edge.m.write_flushes.inc();
+                conn.dead = conn.link.flush().is_err();
             }
-            // Register/deregister write interest as backpressure comes
-            // and goes (level-triggered: permanent write interest would
-            // spin the loop on an always-writable socket).
-            let wants = !conn.wbuf.is_empty();
-            if wants != conn.wants_write {
-                let interest = if wants {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                if poller
-                    .modify(conn.stream.as_raw_fd(), token, interest)
-                    .is_ok()
-                {
-                    conn.wants_write = wants;
-                }
+            let idle = conn.pending == 0 && conn.link.wbuf.is_empty();
+            if conn.dead || ((conn.eof || conn.closing) && idle) {
+                let _ = edge.poller.deregister(conn.link.stream.as_raw_fd());
+                edge.m.closed.inc();
+                return false;
             }
-        }
-        for token in to_close {
-            if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-                m.closed.inc();
-            }
-        }
+            let interest = Interest {
+                readable: !conn.eof && drain_until.is_none(),
+                writable: !conn.link.wbuf.is_empty(),
+            };
+            conn.link.watch(&mut edge.poller, token, interest);
+            true
+        });
     }
 
-    // Graceful drain: wait (bounded) for in-flight requests, deliver
-    // their replies, and flush every connection — the peer that sent
-    // `shutdown` must read its acknowledgement before we return.
-    let deadline = Instant::now() + DRAIN_DEADLINE;
+    // Whatever is still pending at the deadline is answered with
+    // `ShuttingDown`; then every connection's buffer goes out — the peer
+    // that sent `shutdown` must read its acknowledgement before we return.
+    let mut owed = Vec::new();
+    edge.backend.abandon(&mut owed);
+    let shutting_down = Answer::of_error(&EngineError::ShuttingDown);
+    for to in owed {
+        deliver(&mut conns, to, &shutting_down);
+    }
     for (_, mut conn) in conns.drain() {
-        let _ = poller.deregister(conn.stream.as_raw_fd());
-        if conn.dead {
-            m.closed.inc();
-            continue;
+        let _ = edge.poller.deregister(conn.link.stream.as_raw_fd());
+        conn.drain_slots();
+        if !conn.dead && !conn.link.wbuf.is_empty() {
+            edge.m.write_flushes.inc();
+            let stream = &mut conn.link.stream;
+            stream.set_nonblocking(false).ok();
+            stream.set_write_timeout(Some(Duration::from_secs(2))).ok();
+            let _ = stream.write_all(&conn.link.wbuf);
         }
-        while let Some(slot) = conn.text_slots.pop_front() {
-            let line = match slot {
-                TextSlot::Ready(line) => line,
-                TextSlot::Pending(ticket) => match wait_until(&ticket, deadline) {
-                    Some(result) => proto::render_result(&result),
-                    None => proto::render_result(&Err(EngineError::ShuttingDown)),
-                },
-            };
-            conn.push_text_line(&line);
-        }
-        let pending: Vec<(u64, Ticket)> = conn.pending_bin.drain().collect();
-        for (corr, ticket) in pending {
-            match wait_until(&ticket, deadline) {
-                Some(result) => push_bin_result(&mut conn, corr, &result),
-                None => conn.push_err_frame(
-                    corr,
-                    ErrCode::ShuttingDown,
-                    &EngineError::ShuttingDown.to_string(),
-                ),
-            }
-        }
-        if !conn.wbuf.is_empty() {
-            m.write_flushes.inc();
-            conn.stream.set_nonblocking(false).ok();
-            conn.stream
-                .set_write_timeout(Some(Duration::from_secs(2)))
-                .ok();
-            let _ = conn.stream.write_all(&conn.wbuf);
-        }
-        m.closed.inc();
+        edge.m.closed.inc();
     }
     Ok(())
 }
 
-fn wait_until(ticket: &Ticket, deadline: Instant) -> Option<Result<Response, EngineError>> {
-    let now = Instant::now();
-    if now >= deadline {
-        return ticket.try_take();
+/// Puts one backend answer where its request came from.
+fn deliver(conns: &mut HashMap<usize, Conn>, to: ReplyTo, answer: &Answer) {
+    let Some(conn) = conns.get_mut(&to.token) else {
+        return; // the client went away
+    };
+    conn.pending = conn.pending.saturating_sub(1);
+    match to.slot {
+        Slot::Frame(corr) => conn.link.push_frame(answer.ty, corr, &answer.body),
+        Slot::Line(n) => {
+            if let Some(slot) = conn.slots.get_mut(n.wrapping_sub(conn.text_base) as usize) {
+                *slot = Some(answer.line());
+            }
+        }
     }
-    ticket.wait_timeout(deadline - now)
 }
 
-/// Reads everything currently available on `conn` and processes it.
-fn read_turn(
-    conn: &mut Conn,
-    token: usize,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF: process what we have (a complete final line/frame
-                // without trailing newline still deserves an answer),
-                // then close once pending work flushes. A *mid-frame*
-                // hangup just abandons the partial frame.
-                conn.closing = true;
-                break;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&buf[..n]);
-                // Over-cap lines/frames are handled by the processors;
-                // this only guards pathological growth between turns.
-                if conn.rbuf.len() > fpopb::MAX_BODY + MAX_TEXT_LINE {
-                    conn.dead = true;
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+impl<B: Backend> Edge<'_, B> {
+    /// Reads everything currently available on `conn` and processes it.
+    fn read_turn(&mut self, conn: &mut Conn, token: usize) {
+        match conn.link.fill() {
+            Ok(open) => conn.eof = !open,
             Err(_) => {
                 conn.dead = true;
                 return;
             }
         }
-    }
-    if conn.proto == Protocol::Undecided {
-        match conn.rbuf.first() {
-            None => return,
-            Some(&fpopb::MARKER) => conn.proto = Protocol::Binary,
-            Some(_) => conn.proto = Protocol::Text,
-        }
-    }
-    match conn.proto {
-        Protocol::Binary => process_binary(conn, token, engine, stop, m, completions, waker),
-        Protocol::Text => process_text(conn, token, engine, stop, m, completions, waker),
-        Protocol::Undecided => unreachable!("decided above"),
-    }
-}
-
-/// Decodes and dispatches every complete binary frame in `conn.rbuf`.
-fn process_binary(
-    conn: &mut Conn,
-    token: usize,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    loop {
-        match fpopb::decode_frame(&conn.rbuf) {
-            Ok(DecodeStep::Incomplete) => return,
-            Ok(DecodeStep::Ready { frame, consumed }) => {
-                conn.rbuf.drain(..consumed);
-                m.binary_frames.inc();
-                handle_frame(conn, token, frame, engine, stop, m, completions, waker);
-                if conn.closing {
-                    return;
-                }
-            }
-            Err(e) => {
-                m.decode_errors.inc();
-                match e.recoverable() {
-                    Some(consumed) => {
-                        // Frame boundary held: report, skip, keep serving
-                        // this connection.
-                        let corr = match &e {
-                            fpopb::DecodeError::ChecksumMismatch { corr, .. } => *corr,
-                            fpopb::DecodeError::BadType { corr, .. } => *corr,
-                            _ => 0,
-                        };
-                        conn.push_err_frame(corr, e.code(), &e.reason());
-                        conn.rbuf.drain(..consumed);
-                    }
-                    None => {
-                        // Stream desync: report once and close.
-                        conn.push_err_frame(0, e.code(), &e.reason());
-                        conn.closing = true;
-                        conn.rbuf.clear();
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Dispatches one decoded binary frame.
-#[allow(clippy::too_many_arguments)]
-fn handle_frame(
-    conn: &mut Conn,
-    token: usize,
-    frame: Frame,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    let corr = frame.corr;
-    match frame.ty {
-        FrameType::Hello => {
-            // Version negotiation: we speak exactly fpopb/1; a client
-            // that can't is told so and may close.
-            let mut body = Vec::new();
-            fpopb::w_varint(&mut body, u64::from(fpopb::VERSION));
-            conn.push_frame(FrameType::HelloAck, corr, &body);
-        }
-        FrameType::Ping => conn.push_frame(FrameType::Pong, corr, &[]),
-        FrameType::Shutdown => {
-            conn.push_frame(FrameType::Ok, corr, b"shutting down");
-            stop.store(true, Ordering::SeqCst);
-            waker.wake();
-        }
-        FrameType::Checkpoint => match engine.checkpoint() {
-            Ok(Some(bytes)) => {
-                conn.push_frame(
-                    FrameType::Ok,
-                    corr,
-                    format!("checkpoint written ({bytes} bytes)").as_bytes(),
-                );
-            }
-            Ok(None) if engine.has_shared_store() => {
-                conn.push_frame(
-                    FrameType::Ok,
-                    corr,
-                    b"checkpoint published to shared store (no local snapshot)",
-                );
-            }
-            Ok(None) => {
-                conn.push_err_frame(corr, ErrCode::Failed, "no snapshot path configured");
-            }
-            Err(e) => conn.push_err_frame(corr, ErrCode::Failed, &e.to_string()),
-        },
-        FrameType::SlowLog => {
-            let text = proto::render_slow_log(&engine.slow_log());
-            conn.push_frame(FrameType::Ok, corr, text.as_bytes());
-        }
-        FrameType::Submit => {
-            let parsed = frame
-                .body
-                .first()
-                .ok_or_else(|| "empty submit body".to_string())
-                .and_then(|&p| fpopb::decode_priority(p))
-                .and_then(|prio| fpopb::decode_request(&frame.body, 1).map(|(req, _)| (req, prio)));
-            match parsed {
-                Err(reason) => {
-                    m.decode_errors.inc();
-                    conn.push_err_frame(corr, ErrCode::Malformed, &reason);
-                }
-                Ok((req, prio)) => {
-                    submit_binary(conn, token, corr, req, prio, engine, m, completions, waker);
-                }
-            }
-        }
-        FrameType::RegisterTemplate => match fpopb::decode_request(&frame.body, 0) {
-            Err(reason) => {
-                m.decode_errors.inc();
-                conn.push_err_frame(corr, ErrCode::Malformed, &reason);
-            }
-            Ok((req, _)) => match engine.register_template(req) {
-                Ok(digest) => {
-                    conn.push_frame(FrameType::TemplateId, corr, &digest.to_le_bytes());
-                }
-                Err(e) => conn.push_err_frame(corr, ErrCode::of_engine(&e), &e.to_string()),
-            },
-        },
-        FrameType::SubmitTemplate => {
-            let parsed = frame
-                .body
-                .first()
-                .ok_or_else(|| "empty submit-template body".to_string())
-                .and_then(|&p| fpopb::decode_priority(p))
-                .and_then(|prio| fpopb::r_digest(&frame.body, 1).map(|(digest, _)| (digest, prio)));
-            match parsed {
-                Err(reason) => {
-                    m.decode_errors.inc();
-                    conn.push_err_frame(corr, ErrCode::Malformed, &reason);
-                }
-                Ok((digest, prio)) => {
-                    // Fast path: a memoized template answers inline — no
-                    // queue admission, no worker, no parsing. This is
-                    // the 10× lever of the pipelined-warm benchmark.
-                    if let Some(resp) = engine.template_response(digest) {
-                        m.template_fast_hits.inc();
-                        conn.push_frame(
-                            FrameType::Ok,
-                            corr,
-                            proto::render_response(&resp).as_bytes(),
-                        );
-                    } else if !engine.has_template(digest) {
-                        conn.push_err_frame(
-                            corr,
-                            ErrCode::Failed,
-                            &format!("no template registered under digest {digest:016x}"),
-                        );
-                    } else {
-                        submit_binary(
-                            conn,
-                            token,
-                            corr,
-                            Request::RunTemplate { digest },
-                            prio,
-                            engine,
-                            m,
-                            completions,
-                            waker,
-                        );
-                    }
-                }
-            }
-        }
-        // Response types arriving at the server are client errors.
-        FrameType::HelloAck
-        | FrameType::Pong
-        | FrameType::Ok
-        | FrameType::Err
-        | FrameType::TemplateId => {
-            m.decode_errors.inc();
-            conn.push_err_frame(corr, ErrCode::Malformed, "response frame sent to server");
-        }
-    }
-}
-
-/// Submits a request from a binary connection; the reply goes out when
-/// the worker pool completes it (out of order is fine — that's what the
-/// correlation id is for).
-#[allow(clippy::too_many_arguments)]
-fn submit_binary(
-    conn: &mut Conn,
-    token: usize,
-    corr: u64,
-    req: Request,
-    prio: Priority,
-    engine: &Arc<Engine>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    match engine.submit_nowait(req, prio, None) {
-        Err(e) => conn.push_err_frame(corr, ErrCode::of_engine(&e), &e.to_string()),
-        Ok(ticket) => {
-            m.submitted.inc();
-            let completions = Arc::clone(completions);
-            let waker = waker.clone();
-            ticket.on_done(move || {
-                completions
-                    .lock()
-                    .expect("completion queue poisoned")
-                    .push((token, corr));
-                waker.wake();
-            });
-            conn.pending_bin.insert(corr, ticket);
-        }
-    }
-}
-
-/// Processes every complete text line in `conn.rbuf`.
-fn process_text(
-    conn: &mut Conn,
-    token: usize,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    loop {
-        let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
-            if conn.rbuf.len() > MAX_TEXT_LINE {
-                m.decode_errors.inc();
-                conn.text_slots.push_back(TextSlot::Ready(format!(
-                    "err {}",
-                    proto::escape(&format!(
-                        "line exceeds the {MAX_TEXT_LINE}-byte cap without a newline"
-                    ))
-                )));
-                conn.closing = true;
-                conn.rbuf.clear();
-            }
+        if conn.closing {
+            conn.link.rbuf.clear();
             return;
+        }
+        if conn.proto == Protocol::Undecided {
+            match conn.link.rbuf.first() {
+                None => return,
+                Some(&fpopb::MARKER) => conn.proto = Protocol::Binary,
+                Some(_) => conn.proto = Protocol::Text,
+            }
+        }
+        // At EOF every complete line or frame still deserves an answer; a
+        // *mid-frame* hangup just abandons the partial frame.
+        let used = match conn.proto {
+            Protocol::Binary => self.process_binary(conn, token),
+            Protocol::Text => self.process_text(conn, token),
+            Protocol::Undecided => unreachable!("decided above"),
         };
-        let line_bytes: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-        let line = match std::str::from_utf8(&line_bytes[..line_bytes.len() - 1]) {
-            Ok(s) => s.to_string(),
-            Err(_) => {
+        if conn.closing {
+            conn.link.rbuf.clear();
+        } else {
+            conn.link.rbuf.drain(..used);
+        }
+    }
+
+    /// Decodes and dispatches every complete binary frame in the read
+    /// buffer; returns the bytes consumed.
+    fn process_binary(&mut self, conn: &mut Conn, token: usize) -> usize {
+        let mut at = 0;
+        while !conn.closing {
+            match fpopb::decode_frame(&conn.link.rbuf[at..]) {
+                Ok(DecodeStep::Incomplete) => break,
+                Ok(DecodeStep::Ready { frame, consumed }) => {
+                    at += consumed;
+                    self.m.binary_frames.inc();
+                    self.handle_frame(conn, token, frame);
+                }
+                Err(e) => {
+                    self.m.decode_errors.inc();
+                    match e.recoverable() {
+                        Some(consumed) => {
+                            // Frame boundary held: report, skip, keep
+                            // serving this connection.
+                            let corr = match &e {
+                                fpopb::DecodeError::ChecksumMismatch { corr, .. }
+                                | fpopb::DecodeError::BadType { corr, .. } => *corr,
+                                _ => 0,
+                            };
+                            conn.push_err_frame(corr, e.code(), &e.reason());
+                            at += consumed;
+                        }
+                        None => {
+                            // Stream desync: report once and close.
+                            conn.push_err_frame(0, e.code(), &e.reason());
+                            conn.closing = true;
+                        }
+                    }
+                }
+            }
+        }
+        at
+    }
+
+    fn malformed(&mut self, conn: &mut Conn, corr: u64, reason: &str) {
+        self.m.decode_errors.inc();
+        conn.push_err_frame(corr, ErrCode::Malformed, reason);
+    }
+
+    /// Answers one decoded binary frame at the edge, or hands it to the
+    /// backend.
+    fn handle_frame(&mut self, conn: &mut Conn, token: usize, frame: Frame) {
+        let corr = frame.corr;
+        let body = &frame.body[..];
+        let job = match frame.ty {
+            FrameType::Hello => {
+                // Version negotiation: we speak exactly fpopb/1; a client
+                // that can't is told so and may close.
+                let mut ack = Vec::new();
+                fpopb::w_varint(&mut ack, u64::from(fpopb::VERSION));
+                conn.link.push_frame(FrameType::HelloAck, corr, &ack);
+                return;
+            }
+            FrameType::Ping => {
+                conn.link.push_frame(FrameType::Pong, corr, &[]);
+                return;
+            }
+            FrameType::Shutdown => {
+                conn.link.push_frame(FrameType::Ok, corr, b"shutting down");
+                self.stop.store(true, Ordering::SeqCst);
+                return;
+            }
+            FrameType::Checkpoint => Job::Checkpoint,
+            FrameType::SlowLog => Job::SlowLog,
+            FrameType::Submit => {
+                let parsed = body
+                    .first()
+                    .ok_or_else(|| "empty submit body".to_string())
+                    .and_then(|&p| fpopb::decode_priority(p))
+                    .and_then(|prio| fpopb::decode_request(body, 1).map(|(req, _)| (req, prio)));
+                match parsed {
+                    Ok((req, prio)) => Job::Submit(req, prio, Some(body)),
+                    Err(reason) => return self.malformed(conn, corr, &reason),
+                }
+            }
+            FrameType::RegisterTemplate => match fpopb::decode_request(body, 0) {
+                Ok((req, _)) => Job::RegisterTemplate(req, body),
+                Err(reason) => return self.malformed(conn, corr, &reason),
+            },
+            FrameType::SubmitTemplate => {
+                let parsed = body
+                    .first()
+                    .ok_or_else(|| "empty submit-template body".to_string())
+                    .and_then(|&p| fpopb::decode_priority(p))
+                    .and_then(|prio| fpopb::r_digest(body, 1).map(|(digest, _)| (digest, prio)));
+                match parsed {
+                    Ok((digest, prio)) => Job::SubmitTemplate(digest, prio, body),
+                    Err(reason) => return self.malformed(conn, corr, &reason),
+                }
+            }
+            // Response types arriving at the server are client errors.
+            FrameType::HelloAck
+            | FrameType::Pong
+            | FrameType::Ok
+            | FrameType::Err
+            | FrameType::TemplateId => {
+                return self.malformed(conn, corr, "response frame sent to server");
+            }
+        };
+        conn.pending += 1;
+        let to = ReplyTo {
+            token,
+            slot: Slot::Frame(corr),
+        };
+        self.backend
+            .dispatch(to, job, &mut self.poller, &mut self.out);
+    }
+
+    /// Processes every complete text line in the read buffer; returns the
+    /// bytes consumed.
+    fn process_text(&mut self, conn: &mut Conn, token: usize) -> usize {
+        let mut at = 0;
+        while !conn.closing {
+            let rest = &conn.link.rbuf[at..];
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                if rest.len() > MAX_TEXT_LINE {
+                    self.m.decode_errors.inc();
+                    conn.push_line(format!(
+                        "err {}",
+                        proto::escape(&format!(
+                            "line exceeds the {MAX_TEXT_LINE}-byte cap without a newline"
+                        ))
+                    ));
+                    conn.closing = true;
+                }
+                break;
+            };
+            let Ok(line) = std::str::from_utf8(&rest[..nl]).map(str::to_string) else {
                 // Same contract the fuzzer pins: invalid UTF-8 gets an
                 // error and the connection may close.
-                m.decode_errors.inc();
-                conn.text_slots.push_back(TextSlot::Ready(
-                    "err protocol line is not valid UTF-8".to_string(),
-                ));
+                self.m.decode_errors.inc();
+                conn.push_line("err protocol line is not valid UTF-8".to_string());
                 conn.closing = true;
-                conn.rbuf.clear();
-                return;
+                break;
+            };
+            at += nl + 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            self.m.text_requests.inc();
+            self.handle_line(conn, token, &line);
+        }
+        at
+    }
+
+    /// Answers one text command line at the edge, or hands it to the
+    /// backend.
+    fn handle_line(&mut self, conn: &mut Conn, token: usize, line: &str) {
+        let job = match proto::parse_command(line) {
+            Err(e) => {
+                self.m.decode_errors.inc();
+                return conn.push_line(format!("err {}", proto::escape(&e)));
+            }
+            Ok(proto::Command::Ping) => return conn.push_line("ok pong".to_string()),
+            Ok(proto::Command::Shutdown) => {
+                self.stop.store(true, Ordering::SeqCst);
+                return conn.push_line("ok shutting down".to_string());
+            }
+            Ok(proto::Command::SlowLog) => Job::SlowLog,
+            Ok(proto::Command::Checkpoint) => Job::Checkpoint,
+            Ok(proto::Command::Submit(req, prio)) => Job::Submit(req, prio, None),
+        };
+        let to = ReplyTo {
+            token,
+            slot: Slot::Line(conn.text_base + conn.slots.len() as u64),
+        };
+        conn.slots.push_back(None);
+        conn.pending += 1;
+        self.backend
+            .dispatch(to, job, &mut self.poller, &mut self.out);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The local engine as a backend
+// ---------------------------------------------------------------------------
+
+/// The local [`Engine`] as a backend: requests run on its worker pool,
+/// whose completion hooks queue an id and wake the poller.
+pub(crate) struct EngineBackend {
+    engine: Arc<Engine>,
+    waker: Waker,
+    /// Completion ids pushed by worker-pool hooks.
+    done: Arc<Mutex<Vec<u64>>>,
+    /// In-flight tickets by completion id.
+    tickets: HashMap<u64, (ReplyTo, Ticket)>,
+    next_id: u64,
+    submitted: Arc<trace::Counter>,
+    /// Template submissions served inline from the memoized response,
+    /// without touching the queue or a worker.
+    template_fast_hits: Arc<trace::Counter>,
+}
+
+impl EngineBackend {
+    pub(crate) fn new(engine: Arc<Engine>) -> std::io::Result<EngineBackend> {
+        let reg = engine.session().registry();
+        Ok(EngineBackend {
+            submitted: reg.counter(
+                "engine_conn_submitted_total",
+                "requests submitted to the engine by the connection layer",
+            ),
+            template_fast_hits: reg.counter(
+                "engine_conn_template_fast_hits_total",
+                "template submissions served inline from the memoized response",
+            ),
+            waker: Waker::new()?,
+            done: Arc::new(Mutex::new(Vec::new())),
+            tickets: HashMap::new(),
+            next_id: 0,
+            engine,
+        })
+    }
+
+    /// Submits a request; the answer goes out when the worker pool
+    /// completes it.
+    fn submit(&mut self, to: ReplyTo, req: Request, prio: Priority, out: &mut Outbox) {
+        match self.engine.submit_nowait(req, prio, None) {
+            Err(e) => out.push((to, Answer::of_error(&e))),
+            Ok(ticket) => {
+                self.submitted.inc();
+                let id = self.next_id;
+                self.next_id += 1;
+                let done = Arc::clone(&self.done);
+                let waker = self.waker.clone();
+                ticket.on_done(move || {
+                    done.lock().expect("completion queue poisoned").push(id);
+                    waker.wake();
+                });
+                self.tickets.insert(id, (to, ticket));
+            }
+        }
+    }
+}
+
+impl Backend for EngineBackend {
+    fn registry(&self) -> &trace::Registry {
+        self.engine.session().registry()
+    }
+
+    fn attach(&mut self, poller: &mut Poller) -> std::io::Result<()> {
+        poller.register(self.waker.read_fd(), BACKEND_TOKEN, Interest::READ)
+    }
+
+    fn dispatch(&mut self, to: ReplyTo, job: Job<'_>, _: &mut Poller, out: &mut Outbox) {
+        let answer = match job {
+            Job::Submit(req, prio, _) => return self.submit(to, req, prio, out),
+            Job::SlowLog => Answer::ok(proto::render_slow_log(&self.engine.slow_log())),
+            Job::Checkpoint => match self.engine.checkpoint() {
+                Ok(Some(bytes)) => Answer::ok(format!("checkpoint written ({bytes} bytes)")),
+                // A store-only shard (the fleet's usual shape) has no
+                // local snapshot but the publish did happen — say so.
+                Ok(None) if self.engine.has_shared_store() => {
+                    Answer::ok("checkpoint published to shared store (no local snapshot)")
+                }
+                Ok(None) => Answer::err(ErrCode::Failed, "no snapshot path configured"),
+                Err(e) => Answer::err(ErrCode::Failed, &e.to_string()),
+            },
+            Job::RegisterTemplate(req, _) => match self.engine.register_template(req) {
+                Ok(digest) => Answer {
+                    ty: FrameType::TemplateId,
+                    body: digest.to_le_bytes().to_vec(),
+                },
+                Err(e) => Answer::of_error(&e),
+            },
+            Job::SubmitTemplate(digest, prio, _) => {
+                // Fast path: a memoized template answers inline — no
+                // queue admission, no worker, no parsing. This is the 10×
+                // lever of the pipelined-warm benchmark.
+                if let Some(resp) = self.engine.template_response(digest) {
+                    self.template_fast_hits.inc();
+                    Answer::ok(proto::render_response(&resp))
+                } else if !self.engine.has_template(digest) {
+                    Answer::err(
+                        ErrCode::Failed,
+                        &format!("no template registered under digest {digest:016x}"),
+                    )
+                } else {
+                    return self.submit(to, Request::RunTemplate { digest }, prio, out);
+                }
             }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        m.text_requests.inc();
-        handle_text_line(conn, token, &line, engine, stop, m, completions, waker);
-        if conn.closing {
-            return;
-        }
+        out.push((to, answer));
     }
-}
 
-/// Dispatches one text command line.
-#[allow(clippy::too_many_arguments)]
-fn handle_text_line(
-    conn: &mut Conn,
-    token: usize,
-    line: &str,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
-    m: &ConnMetrics,
-    completions: &Arc<Mutex<Vec<(usize, u64)>>>,
-    waker: &Waker,
-) {
-    let slot = match proto::parse_command(line) {
-        Err(e) => {
-            m.decode_errors.inc();
-            TextSlot::Ready(format!("err {}", proto::escape(&e)))
-        }
-        Ok(proto::Command::Ping) => TextSlot::Ready("ok pong".to_string()),
-        Ok(proto::Command::Shutdown) => {
-            stop.store(true, Ordering::SeqCst);
-            waker.wake();
-            TextSlot::Ready("ok shutting down".to_string())
-        }
-        Ok(proto::Command::SlowLog) => TextSlot::Ready(format!(
-            "ok {}",
-            proto::escape(&proto::render_slow_log(&engine.slow_log()))
-        )),
-        Ok(proto::Command::Checkpoint) => TextSlot::Ready(match engine.checkpoint() {
-            Ok(Some(bytes)) => format!("ok checkpoint written ({bytes} bytes)"),
-            Ok(None) if engine.has_shared_store() => {
-                "ok checkpoint published to shared store (no local snapshot)".to_string()
-            }
-            Ok(None) => "err no snapshot path configured".to_string(),
-            Err(e) => format!("err {}", proto::escape(&e.to_string())),
-        }),
-        Ok(proto::Command::Submit(request, priority)) => {
-            match engine.submit_nowait(request, priority, None) {
-                Err(e) => TextSlot::Ready(proto::render_result(&Err(e))),
-                Ok(ticket) => {
-                    m.submitted.inc();
-                    let completions = Arc::clone(completions);
-                    let waker = waker.clone();
-                    ticket.on_done(move || {
-                        completions
-                            .lock()
-                            .expect("completion queue poisoned")
-                            .push((token, 0));
-                        waker.wake();
-                    });
-                    TextSlot::Pending(ticket)
+    fn event(&mut self, _: usize, _: &Event, _: &mut Poller, _: &mut Outbox) {
+        self.waker.drain();
+    }
+
+    fn turn(&mut self, _: &mut Poller, out: &mut Outbox) {
+        let done = std::mem::take(&mut *self.done.lock().expect("completion queue poisoned"));
+        for id in done {
+            if let Some((to, ticket)) = self.tickets.remove(&id) {
+                // A hook runs after its result is published, so this
+                // never blocks.
+                match ticket.try_take().unwrap_or_else(|| ticket.wait()) {
+                    Ok(resp) => out.push((to, Answer::ok(proto::render_response(&resp)))),
+                    Err(e) => out.push((to, Answer::of_error(&e))),
                 }
             }
         }
-    };
-    conn.text_slots.push_back(slot);
-}
+    }
 
-/// Delivers one worker-pool completion to `conn`.
-fn deliver_completion(conn: &mut Conn, corr: u64) {
-    match conn.proto {
-        Protocol::Binary => {
-            if let Some(ticket) = conn.pending_bin.remove(&corr) {
-                match ticket.try_take() {
-                    Some(result) => push_bin_result(conn, corr, &result),
-                    // Spurious (hook ran but publish not yet visible is
-                    // impossible — publish precedes hooks — but stay
-                    // total): put it back for the next wake.
-                    None => {
-                        conn.pending_bin.insert(corr, ticket);
-                    }
-                }
-            }
-        }
-        // Text replies are in-order: the slot queue drains from the
-        // front in the main loop (`drain_text_slots`).
-        Protocol::Text | Protocol::Undecided => {}
+    fn abandon(&mut self, owed: &mut Vec<ReplyTo>) {
+        owed.extend(self.tickets.drain().map(|(_, (to, _))| to));
     }
-}
-
-fn push_bin_result(conn: &mut Conn, corr: u64, result: &Result<Response, EngineError>) {
-    match result {
-        Ok(resp) => {
-            conn.push_frame(FrameType::Ok, corr, proto::render_response(resp).as_bytes());
-        }
-        Err(e) => conn.push_err_frame(corr, ErrCode::of_engine(e), &e.to_string()),
-    }
-}
-
-/// Appends every deliverable in-order reply of a text connection.
-fn drain_text_slots(conn: &mut Conn) {
-    loop {
-        match conn.text_slots.front() {
-            Some(TextSlot::Ready(_)) => {
-                if let Some(TextSlot::Ready(line)) = conn.text_slots.pop_front() {
-                    conn.push_text_line(&line);
-                }
-            }
-            Some(TextSlot::Pending(ticket)) => match ticket.try_take() {
-                Some(result) => {
-                    let line = proto::render_result(&result);
-                    conn.text_slots.pop_front();
-                    conn.push_text_line(&line);
-                }
-                None => return,
-            },
-            None => return,
-        }
-    }
-}
-
-/// Writes as much of `conn.wbuf` as the socket accepts, once per turn.
-fn flush_conn(conn: &mut Conn, m: &ConnMetrics) {
-    if conn.wbuf.is_empty() || conn.dead {
-        return;
-    }
-    m.write_flushes.inc();
-    let mut written = 0;
-    while written < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[written..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    conn.wbuf.drain(..written);
 }
 
 #[cfg(test)]
@@ -832,7 +912,7 @@ mod tests {
         let handle = {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || serve(engine, listener, stop))
+            std::thread::spawn(move || proto::serve(engine, listener, stop))
         };
         (engine, addr, stop, handle)
     }

@@ -22,42 +22,61 @@
 //! and session cache become fleet-wide dedup, the paper's
 //! content-addressed proof reuse stretched across processes.
 //!
+//! ## One loop, one upstream per shard
+//!
+//! The router is a backend of the same connection layer `fpopd` runs
+//! (the `conn` module): one event loop owns the client connections and
+//! **one persistent, pipelined `fpopb/1` connection per live shard**, on
+//! one poller. The loop mints its own correlation ids upstream and maps
+//! each reply back to its client connection and that client's
+//! correlation id or text slot. Text lines are parsed at the edge and
+//! forwarded as `Submit` frames, so upstream traffic is `fpopb/1` only;
+//! a text reply renders as `ok`/`err` exactly as a shard's own would.
+//! The router runs two threads whatever its client count: the loop and
+//! the health prober. Like `fpopd` it is unix-only; there is no blocking
+//! fallback.
+//!
 //! ## Failure behavior
 //!
-//! Shard death is detected two ways: an upstream I/O error on a live
-//! connection (immediate), and the background health prober (eventual).
-//! A dead shard's digest range re-routes to the ring's next live
-//! successor — which may cold-miss and re-prove; correct, just slower.
-//! Requests already in flight on the dead connection are answered with a
-//! clean retryable [`crate::fpopb::ErrCode::Unavailable`] error — never
-//! a hang, never a fabricated verdict. Requests not yet written retry on
-//! a surviving shard transparently (all requests are idempotent). The
-//! prober re-admits a restarted shard at the same address; catch-up
-//! warmth comes from the shared store at the shard's own boot, not
-//! through the router.
+//! Shard death is detected two ways: an I/O error, EOF or undecodable
+//! frame on the shard's upstream (immediate), and the background health
+//! prober (eventual). A dead shard's digest range re-routes to the
+//! ring's next live successor — which may cold-miss and re-prove;
+//! correct, just slower. Binary requests in flight on the dead upstream
+//! — a frame still queued on it counts as in flight — are answered once
+//! with a clean retryable [`crate::fpopb::ErrCode::Unavailable`] error:
+//! never a hang, never a fabricated verdict. Text requests re-route to a
+//! surviving shard transparently, and so does any request whose shard
+//! cannot be dialled (all requests are idempotent). The prober
+//! re-admits a restarted shard at the same address; the loop dials it
+//! on its next request, with a bounded timeout, at most once per
+//! admission. Catch-up warmth comes from the shared store at the shard's
+//! own boot, not through the router.
 //!
 //! ## What the router does *not* do
 //!
 //! It holds no proof state and makes no verdicts: every `ok`/`err`
 //! payload a client sees was produced by a real engine (the differential
 //! oracle #9 exploits exactly this). `Hello`/`Ping` are answered
-//! locally; `Checkpoint` fans out to every live shard; `Shutdown` stops
-//! the router alone — shards are managed by their own lifecycle.
+//! locally; `RegisterTemplate` and `Checkpoint` fan out to every live
+//! shard; `Shutdown` stops the router alone — shards are managed by
+//! their own lifecycle.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fpop::stable::Fnv64;
 
+use crate::conn::{self, Answer, Backend, Job, Link, Outbox, ReplyTo, Slot, BACKEND_TOKEN};
 use crate::engine::{Engine, EngineConfig};
-use crate::fpopb::{self, decode_frame, encode_frame, DecodeStep, ErrCode, Frame, FrameType};
+use crate::fpopb::{self, DecodeStep, ErrCode, Frame, FrameType};
+use crate::poll::{Event, Interest, Poller};
 use crate::proto;
-use crate::request::Request;
 
 /// Virtual nodes per shard on the hash ring. 64 keeps the remap fraction
 /// on join/leave within a few percent of the ideal 1/N (the router
@@ -66,10 +85,6 @@ pub const VNODES: usize = 64;
 
 /// How often the health prober re-tries dead shards by default.
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(250);
-
-/// Read timeout used on router-internal blocking sockets, so a wedged
-/// shard can never wedge the router.
-const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
 
 // ---------------------------------------------------------------------------
 // The consistent-hash ring
@@ -132,51 +147,376 @@ impl Ring {
 }
 
 // ---------------------------------------------------------------------------
-// Router state
+// The router: a backend of the conn layer
 // ---------------------------------------------------------------------------
 
+/// How long the loop waits for a shard to accept a connection. A shard
+/// is dialled at most once per admission, so an unreachable address
+/// costs this once, until the prober re-admits it.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The retryable reason a binary request gets when its upstream dies.
+const LOST: &str = "shard connection lost; resubmit (requests are idempotent)";
+
 /// One backend shard as the router sees it.
-struct ShardState {
+struct Shard {
     addr: SocketAddr,
-    alive: AtomicBool,
+    /// Cleared by the loop when the shard fails, set again by the prober.
+    alive: Arc<AtomicBool>,
+    /// The persistent, pipelined fpopb/1 connection, once dialled.
+    upstream: Option<Upstream>,
+    /// Template digests written to this shard since it was admitted.
+    registered: HashSet<u64>,
 }
 
-/// State shared by every router thread (acceptor, per-client handlers,
-/// relays, the health prober).
-struct RouterShared {
+/// The router's connection to one shard, and what each correlation id
+/// written on it waits for.
+struct Upstream {
+    link: Link,
+    waiters: HashMap<u64, Waiter>,
+    last_corr: u64,
+}
+
+impl Upstream {
+    /// Queues one frame under a fresh correlation id; the turn's flush
+    /// writes it.
+    fn send(&mut self, ty: FrameType, body: &[u8], waiter: Waiter) {
+        self.last_corr += 1;
+        self.link.push_frame(ty, self.last_corr, body);
+        self.waiters.insert(self.last_corr, waiter);
+    }
+}
+
+enum Waiter {
+    /// A client request. A text request keeps its routing key and frame,
+    /// to re-route it if the shard dies.
+    Client(ReplyTo, Option<(u64, FrameType, Vec<u8>)>),
+    /// This shard's part of a fan-out.
+    Part(u64),
+    /// A template replayed ahead of a `SubmitTemplate`; its reply is
+    /// dropped.
+    Replay,
+}
+
+/// A `RegisterTemplate` or `Checkpoint` sent to every live shard,
+/// answered once each part has replied or died.
+struct FanOut {
+    to: ReplyTo,
+    /// The digest being registered; `None` for a checkpoint.
+    template: Option<u64>,
+    parts: usize,
+    ok: usize,
+    last_err: Option<String>,
+}
+
+impl FanOut {
+    fn answer(&self) -> Answer {
+        match (self.template, self.ok) {
+            (Some(_), 0) => Answer::err(ErrCode::Failed, "no live shards accepted the template"),
+            (Some(digest), _) => Answer {
+                ty: FrameType::TemplateId,
+                body: digest.to_le_bytes().to_vec(),
+            },
+            (None, 0) => Answer::err(
+                ErrCode::Failed,
+                self.last_err.as_deref().unwrap_or("no live shards"),
+            ),
+            (None, n) => Answer::ok(format!("checkpoint written on {n} shard(s)")),
+        }
+    }
+}
+
+/// The router as a [`Backend`]: routes each request by digest over one
+/// upstream connection per live shard, on the conn layer's poller.
+struct Router {
     ring: Ring,
-    shards: Vec<ShardState>,
-    /// Templates registered *through* the router: digest → the request,
-    /// replayed to a shard the first time that shard is asked to run the
-    /// template (and again after the shard is re-admitted).
-    templates: Mutex<HashMap<u64, Request>>,
-    /// Per shard: digests known to be registered on it. Cleared when the
-    /// shard dies, so re-admission re-registers lazily.
-    registered: Mutex<Vec<HashSet<u64>>>,
-    stop: Arc<AtomicBool>,
+    shards: Vec<Shard>,
+    /// The live mask handed to [`Ring::route`], refreshed per route.
+    alive: Vec<bool>,
+    /// `RegisterTemplate` bodies by digest, replayed to a shard that does
+    /// not hold the digest yet (one admitted since the registration).
+    templates: HashMap<u64, Vec<u8>>,
+    fanouts: HashMap<u64, FanOut>,
+    last_fanout: u64,
+    registry: Arc<trace::Registry>,
 }
 
-impl RouterShared {
-    fn alive_mask(&self) -> Vec<bool> {
-        self.shards
-            .iter()
-            .map(|s| s.alive.load(Ordering::SeqCst))
-            .collect()
+impl Router {
+    /// Routes a key to a live shard; `None` = no live shard.
+    fn route(&mut self, key: u64) -> Option<usize> {
+        self.alive.clear();
+        self.alive
+            .extend(self.shards.iter().map(|s| s.alive.load(Ordering::SeqCst)));
+        self.ring.route(key, &self.alive)
     }
 
-    fn mark_dead(&self, i: usize) {
-        if self.shards[i].alive.swap(false, Ordering::SeqCst) {
-            self.registered.lock().expect("registered poisoned")[i].clear();
+    /// Makes sure shard `s` has an upstream, dialling it if needed;
+    /// `false`, with the shard marked dead, if it cannot be reached.
+    fn admit(&mut self, s: usize, poller: &mut Poller, out: &mut Outbox) -> bool {
+        if self.shards[s].upstream.is_some() {
+            return true;
+        }
+        match TcpStream::connect_timeout(&self.shards[s].addr, DIAL_TIMEOUT)
+            .and_then(|stream| Link::register(stream, poller, BACKEND_TOKEN + s))
+        {
+            Ok(link) => {
+                self.shards[s].upstream = Some(Upstream {
+                    link,
+                    waiters: HashMap::new(),
+                    last_corr: 0,
+                });
+                true
+            }
+            Err(_) => {
+                self.mark_dead(s, poller, out);
+                false
+            }
         }
     }
 
-    fn mark_alive(&self, i: usize) {
-        self.shards[i].alive.store(true, Ordering::SeqCst);
+    /// Forwards one request to the shard owning `key`, re-routing to the
+    /// next live successor when a shard cannot be dialled.
+    fn forward(
+        &mut self,
+        to: ReplyTo,
+        key: u64,
+        ty: FrameType,
+        body: &[u8],
+        poller: &mut Poller,
+        out: &mut Outbox,
+    ) {
+        loop {
+            let Some(s) = self.route(key) else {
+                return out.push((
+                    to,
+                    Answer::err(ErrCode::Unavailable, "no live shards (retry)"),
+                ));
+            };
+            if !self.admit(s, poller, out) {
+                continue;
+            }
+            let shard = &mut self.shards[s];
+            let up = shard.upstream.as_mut().expect("admitted above");
+            // Template fast path: a shard's conn layer handles one
+            // connection's frames in order and registers inline, so a
+            // replayed registration written first is in place in time.
+            if ty == FrameType::SubmitTemplate && shard.registered.insert(key) {
+                if let Some(registration) = self.templates.get(&key) {
+                    up.send(FrameType::RegisterTemplate, registration, Waiter::Replay);
+                }
+            }
+            let resend = matches!(to.slot, Slot::Line(_)).then(|| (key, ty, body.to_vec()));
+            return up.send(ty, body, Waiter::Client(to, resend));
+        }
     }
 
-    /// Routes a key, preferring the ring position; `None` = no live shard.
-    fn route(&self, key: u64) -> Option<usize> {
-        self.ring.route(key, &self.alive_mask())
+    /// Sends one frame to every live shard; the client is answered once
+    /// every part has replied or died.
+    fn fan_out(
+        &mut self,
+        to: ReplyTo,
+        template: Option<u64>,
+        ty: FrameType,
+        body: &[u8],
+        poller: &mut Poller,
+        out: &mut Outbox,
+    ) {
+        self.last_fanout += 1;
+        let id = self.last_fanout;
+        let mut fan = FanOut {
+            to,
+            template,
+            parts: 0,
+            ok: 0,
+            last_err: None,
+        };
+        for s in 0..self.shards.len() {
+            // A failed dial marks a shard without an upstream dead, which
+            // settles no part: the parts are counted here alone.
+            if !self.shards[s].alive.load(Ordering::SeqCst) || !self.admit(s, poller, out) {
+                continue;
+            }
+            let shard = &mut self.shards[s];
+            if let Some(digest) = template {
+                shard.registered.insert(digest);
+            }
+            let up = shard.upstream.as_mut().expect("admitted above");
+            up.send(ty, body, Waiter::Part(id));
+            fan.parts += 1;
+        }
+        if fan.parts == 0 {
+            out.push((to, fan.answer()));
+        } else {
+            self.fanouts.insert(id, fan);
+        }
+    }
+
+    /// Counts shard `s`'s reply to fan-out `id` (`None`: the shard died)
+    /// and answers the client once the last part is in.
+    fn settle(&mut self, id: u64, s: usize, reply: Option<&Frame>, out: &mut Outbox) {
+        let Some(fan) = self.fanouts.get_mut(&id) else {
+            return;
+        };
+        fan.parts -= 1;
+        match (fan.template, reply) {
+            (Some(d), Some(f)) if f.ty == FrameType::TemplateId && f.body == d.to_le_bytes() => {
+                fan.ok += 1;
+            }
+            (None, Some(f)) if f.ty == FrameType::Ok => fan.ok += 1,
+            (Some(_), _) => {}
+            (None, Some(f)) => {
+                let reason = String::from_utf8_lossy(f.body.get(1..).unwrap_or_default());
+                fan.last_err = Some(format!("shard {s}: {reason}"));
+            }
+            (None, None) => fan.last_err = Some(format!("shard {s}: shard connection lost")),
+        }
+        if fan.parts == 0 {
+            if let Some(fan) = self.fanouts.remove(&id) {
+                out.push((fan.to, fan.answer()));
+            }
+        }
+    }
+
+    /// Marks shard `s` dead until the prober re-admits it. Binary
+    /// requests queued on its upstream get `Unavailable`, once; text
+    /// requests re-route.
+    fn mark_dead(&mut self, s: usize, poller: &mut Poller, out: &mut Outbox) {
+        let shard = &mut self.shards[s];
+        shard.alive.store(false, Ordering::SeqCst);
+        shard.registered.clear();
+        let Some(up) = shard.upstream.take() else {
+            return;
+        };
+        let _ = poller.deregister(up.link.stream.as_raw_fd());
+        for waiter in up.waiters.into_values() {
+            match waiter {
+                Waiter::Client(to, None) => out.push((to, Answer::err(ErrCode::Unavailable, LOST))),
+                Waiter::Client(to, Some((key, ty, body))) => {
+                    self.forward(to, key, ty, &body, poller, out);
+                }
+                Waiter::Part(id) => self.settle(id, s, None, out),
+                Waiter::Replay => {}
+            }
+        }
+    }
+}
+
+impl Backend for Router {
+    fn registry(&self) -> &trace::Registry {
+        &self.registry
+    }
+
+    fn dispatch(&mut self, to: ReplyTo, job: Job<'_>, poller: &mut Poller, out: &mut Outbox) {
+        match job {
+            Job::Submit(req, prio, body) => {
+                // Routing key = the request's content digest, the same key
+                // the engine dedups in-flight requests on.
+                let key = req.dedup_key().unwrap_or(0);
+                match body {
+                    Some(body) => self.forward(to, key, FrameType::Submit, body, poller, out),
+                    None => {
+                        let mut body = vec![fpopb::encode_priority(prio)];
+                        fpopb::encode_request(&mut body, &req);
+                        self.forward(to, key, FrameType::Submit, &body, poller, out);
+                    }
+                }
+            }
+            Job::SlowLog => self.forward(to, 0, FrameType::SlowLog, &[], poller, out),
+            Job::SubmitTemplate(digest, _, body) => {
+                self.forward(to, digest, FrameType::SubmitTemplate, body, poller, out);
+            }
+            Job::RegisterTemplate(req, body) => match req.dedup_key() {
+                // Mirror the engine's refusal for a non-keyable request.
+                None => out.push((
+                    to,
+                    Answer::err(
+                        ErrCode::Failed,
+                        "request kind cannot be registered as a template",
+                    ),
+                )),
+                Some(digest) => {
+                    self.templates.insert(digest, body.to_vec());
+                    let ty = FrameType::RegisterTemplate;
+                    self.fan_out(to, Some(digest), ty, body, poller, out);
+                }
+            },
+            Job::Checkpoint => self.fan_out(to, None, FrameType::Checkpoint, &[], poller, out),
+        }
+    }
+
+    fn event(&mut self, s: usize, ev: &Event, poller: &mut Poller, out: &mut Outbox) {
+        let Some(up) = self
+            .shards
+            .get_mut(s)
+            .and_then(|shard| shard.upstream.as_mut())
+        else {
+            return;
+        };
+        if !ev.readable {
+            return; // writability is consumed by the turn's flush
+        }
+        let open = up.link.fill().unwrap_or(false);
+        // Only whole, checksum-verified frames reach a client: a torn
+        // frame dies with its upstream.
+        let (mut at, mut garbage, mut parts) = (0, false, Vec::new());
+        loop {
+            match fpopb::decode_frame(&up.link.rbuf[at..]) {
+                Ok(DecodeStep::Ready { frame, consumed }) => {
+                    at += consumed;
+                    match up.waiters.remove(&frame.corr) {
+                        Some(Waiter::Client(to, _)) => out.push((to, Answer::from(frame))),
+                        Some(Waiter::Part(id)) => parts.push((id, frame)),
+                        Some(Waiter::Replay) | None => {}
+                    }
+                }
+                Ok(DecodeStep::Incomplete) => break,
+                // A shard speaking garbage is as gone as a dead one.
+                Err(_) => {
+                    garbage = true;
+                    break;
+                }
+            }
+        }
+        up.link.rbuf.drain(..at);
+        for (id, frame) in parts {
+            self.settle(id, s, Some(&frame), out);
+        }
+        if !open || garbage {
+            self.mark_dead(s, poller, out);
+        }
+    }
+
+    fn turn(&mut self, poller: &mut Poller, out: &mut Outbox) {
+        // A failed write kills its shard, whose text requests may
+        // re-route onto another upstream: flush again until none fails.
+        'flush: loop {
+            for s in 0..self.shards.len() {
+                let Some(up) = self.shards[s].upstream.as_mut() else {
+                    continue;
+                };
+                if up.link.flush().is_err() {
+                    self.mark_dead(s, poller, out);
+                    continue 'flush;
+                }
+                let writable = !up.link.wbuf.is_empty();
+                let interest = Interest {
+                    readable: true,
+                    writable,
+                };
+                up.link.watch(poller, BACKEND_TOKEN + s, interest);
+            }
+            return;
+        }
+    }
+
+    fn abandon(&mut self, owed: &mut Vec<ReplyTo>) {
+        for up in self.shards.iter_mut().filter_map(|s| s.upstream.as_mut()) {
+            owed.extend(up.waiters.drain().filter_map(|(_, w)| match w {
+                Waiter::Client(to, _) => Some(to),
+                Waiter::Part(_) | Waiter::Replay => None,
+            }));
+        }
+        owed.extend(self.fanouts.drain().map(|(_, fan)| fan.to));
     }
 }
 
@@ -212,34 +552,40 @@ pub fn serve_router(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    let n = config.shards.len();
-    let shared = Arc::new(RouterShared {
-        ring: Ring::new(n),
-        shards: config
-            .shards
-            .iter()
-            .map(|&addr| ShardState {
-                addr,
-                alive: AtomicBool::new(true),
-            })
-            .collect(),
-        templates: Mutex::new(HashMap::new()),
-        registered: Mutex::new(vec![HashSet::new(); n]),
-        stop: Arc::clone(&stop),
-    });
+    run_router(config, listener, &stop, Arc::new(trace::Registry::new()))
+}
+
+/// [`serve_router`], counting into `registry`.
+fn run_router(
+    config: RouterConfig,
+    listener: TcpListener,
+    stop: &Arc<AtomicBool>,
+    registry: Arc<trace::Registry>,
+) -> std::io::Result<()> {
+    let shards: Vec<Shard> = config
+        .shards
+        .iter()
+        .map(|&addr| Shard {
+            addr,
+            alive: Arc::new(AtomicBool::new(true)),
+            upstream: None,
+            registered: HashSet::new(),
+        })
+        .collect();
 
     // Health prober: retry dead shards, re-admit on a successful ping.
     let prober = {
-        let shared = Arc::clone(&shared);
+        let watched: Vec<(SocketAddr, Arc<AtomicBool>)> = shards
+            .iter()
+            .map(|s| (s.addr, Arc::clone(&s.alive)))
+            .collect();
+        let stop = Arc::clone(stop);
         let interval = config.probe_interval;
         std::thread::spawn(move || {
-            while !shared.stop.load(Ordering::SeqCst) {
-                for i in 0..shared.shards.len() {
-                    if shared.shards[i].alive.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    if probe(shared.shards[i].addr).is_ok() {
-                        shared.mark_alive(i);
+            while !stop.load(Ordering::SeqCst) {
+                for (addr, alive) in &watched {
+                    if !alive.load(Ordering::SeqCst) && probe(*addr) {
+                        alive.store(true, Ordering::SeqCst);
                     }
                 }
                 std::thread::sleep(interval);
@@ -247,641 +593,31 @@ pub fn serve_router(
         })
     };
 
-    listener.set_nonblocking(true)?;
-    let mut clients: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_nodelay(true).ok();
-                let shared = Arc::clone(&shared);
-                clients.push(std::thread::spawn(move || {
-                    let _ = handle_client(stream, &shared);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-        clients.retain(|h| !h.is_finished());
-    }
-    for h in clients {
-        h.join().ok();
-    }
+    let router = Router {
+        ring: Ring::new(shards.len()),
+        alive: Vec::with_capacity(shards.len()),
+        shards,
+        templates: HashMap::new(),
+        fanouts: HashMap::new(),
+        last_fanout: 0,
+        registry,
+    };
+    let served = conn::run(router, listener, stop);
+    stop.store(true, Ordering::SeqCst); // the prober too, if the loop failed
     prober.join().ok();
-    Ok(())
+    served
 }
 
-/// One liveness roundtrip against a shard.
-fn probe(addr: SocketAddr) -> std::io::Result<()> {
-    let mut c = fpopb::Client::connect(addr)?;
-    c.stream().set_read_timeout(Some(Duration::from_secs(2)))?;
-    let corr = c.send_ping()?;
-    let frame = c.recv()?;
-    if frame.ty == FrameType::Pong && frame.corr == corr {
-        Ok(())
-    } else {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "unexpected ping reply",
-        ))
-    }
-}
-
-/// Sniffs the protocol by the first byte, exactly like `fpopd` itself.
-fn handle_client(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    let mut first = [0u8; 1];
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    loop {
-        match stream.peek(&mut first) {
-            Ok(0) => return Ok(()), // client went away without a byte
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if first[0] == 0xfb {
-        handle_binary_client(stream, shared)
-    } else {
-        handle_text_client(stream, shared)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Text protocol: turn-based per line, FIFO preserved
-// ---------------------------------------------------------------------------
-
-/// A lazily-connected turn-based text connection to one shard.
-struct TextUpstream {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl TextUpstream {
-    fn connect(addr: SocketAddr) -> std::io::Result<TextUpstream> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
-        let writer = stream.try_clone()?;
-        Ok(TextUpstream {
-            writer,
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// One request line out, one reply line back.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "shard closed the connection",
-            ));
-        }
-        Ok(reply)
-    }
-}
-
-fn handle_text_client(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut upstreams: HashMap<usize, TextUpstream> = HashMap::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        let reply = match proto::parse_command(trimmed) {
-            Err(e) => format!("err {}", proto::escape(&e)),
-            Ok(proto::Command::Ping) => "ok pong".to_string(),
-            Ok(proto::Command::Shutdown) => {
-                writer.write_all(b"ok shutting down\n")?;
-                writer.flush()?;
-                shared.stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-            Ok(proto::Command::Checkpoint) => match checkpoint_all(shared) {
-                Ok(n) => format!("ok checkpoint written on {n} shard(s)"),
-                Err(e) => format!("err {}", proto::escape(&e)),
-            },
-            Ok(proto::Command::SlowLog) => forward_text(shared, &mut upstreams, 0, trimmed),
-            Ok(proto::Command::Submit(req, _)) => forward_text(
-                shared,
-                &mut upstreams,
-                req.dedup_key().unwrap_or(0),
-                trimmed,
-            ),
-        };
-        writer.write_all(reply.as_bytes())?;
-        if !reply.ends_with('\n') {
-            writer.write_all(b"\n")?;
-        }
-        writer.flush()?;
-    }
-}
-
-/// Forwards one text line to the shard owning `key`, retrying on the
-/// ring's next live successor if the shard dies under us (text requests
-/// are turn-based and idempotent, so a retry is always safe).
-fn forward_text(
-    shared: &RouterShared,
-    upstreams: &mut HashMap<usize, TextUpstream>,
-    key: u64,
-    line: &str,
-) -> String {
-    loop {
-        let Some(s) = shared.route(key) else {
-            return "err no live shards (retry)".to_string();
-        };
-        let attempt = (|| -> std::io::Result<String> {
-            let up = match upstreams.entry(s) {
-                std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(TextUpstream::connect(shared.shards[s].addr)?)
-                }
-            };
-            up.roundtrip(line)
-        })();
-        match attempt {
-            Ok(reply) => return reply,
-            Err(_) => {
-                upstreams.remove(&s);
-                shared.mark_dead(s);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary protocol: pipelined, relay threads per upstream
-// ---------------------------------------------------------------------------
-
-/// The write half the relays and the client thread share.
-type ClientWriter = Arc<Mutex<TcpStream>>;
-
-fn send_client(
-    writer: &ClientWriter,
-    ty: FrameType,
-    corr: u64,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let bytes = encode_frame(ty, corr, body);
-    let mut w = writer.lock().expect("client writer poisoned");
-    w.write_all(&bytes)
-}
-
-fn send_client_err(writer: &ClientWriter, corr: u64, code: ErrCode, reason: &str) {
-    let mut body = vec![code as u8];
-    body.extend_from_slice(reason.as_bytes());
-    let _ = send_client(writer, FrameType::Err, corr, &body);
-}
-
-/// A pipelined binary connection to one shard, plus the relay thread
-/// forwarding its replies back to the client.
-struct BinUpstream {
-    writer: TcpStream,
-    /// Correlation ids written to this shard and not yet answered. The
-    /// relay drains one per forwarded reply; on shard death it fails the
-    /// rest with [`ErrCode::Unavailable`].
-    inflight: Arc<Mutex<HashSet<u64>>>,
-    /// Set by the relay when the upstream died (the client thread then
-    /// drops this upstream and re-routes).
-    dead: Arc<AtomicBool>,
-}
-
-impl BinUpstream {
-    fn connect(
-        shared: &Arc<RouterShared>,
-        shard: usize,
-        client: &ClientWriter,
-    ) -> std::io::Result<BinUpstream> {
-        let stream = TcpStream::connect(shared.shards[shard].addr)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let writer = stream.try_clone()?;
-        let inflight: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        {
-            let shared = Arc::clone(shared);
-            let client = Arc::clone(client);
-            let inflight = Arc::clone(&inflight);
-            let dead = Arc::clone(&dead);
-            std::thread::spawn(move || {
-                relay_replies(stream, &shared, shard, &client, &inflight, &dead);
-                dead.store(true, Ordering::SeqCst);
-            });
-        }
-        Ok(BinUpstream {
-            writer,
-            inflight,
-            dead,
-        })
-    }
-}
-
-/// Reads reply frames from one shard and forwards them verbatim to the
-/// client until the shard or the router goes away. On upstream death,
-/// answers every in-flight correlation id with a retryable error — the
-/// "never a hang, never a wrong verdict" half of the failover contract.
-fn relay_replies(
-    mut stream: TcpStream,
-    shared: &Arc<RouterShared>,
-    shard: usize,
-    client: &ClientWriter,
-    inflight: &Arc<Mutex<HashSet<u64>>>,
-    dead: &Arc<AtomicBool>,
-) {
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut filled = 0usize;
-    let died = loop {
-        match decode_frame(&buf[..filled]) {
-            Ok(DecodeStep::Ready { frame, consumed }) => {
-                buf.copy_within(consumed..filled, 0);
-                filled -= consumed;
-                inflight
-                    .lock()
-                    .expect("inflight poisoned")
-                    .remove(&frame.corr);
-                if send_client(client, frame.ty, frame.corr, &frame.body).is_err() {
-                    // Client went away; stop relaying, shard is fine.
-                    break false;
-                }
-            }
-            Ok(DecodeStep::Incomplete) => {
-                if buf.len() < filled + 64 * 1024 {
-                    buf.resize(filled + 64 * 1024, 0);
-                }
-                match stream.read(&mut buf[filled..]) {
-                    Ok(0) => break true, // EOF — mid-frame or clean, same verdict
-                    Ok(n) => filled += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break false;
-                        }
-                    }
-                    Err(_) => break true,
-                }
-            }
-            // A shard speaking garbage is as gone as a dead one.
-            Err(_) => break true,
-        }
+/// One liveness roundtrip against a shard: does it answer a ping?
+fn probe(addr: SocketAddr) -> bool {
+    let pong = || -> std::io::Result<bool> {
+        let mut c = fpopb::Client::new(TcpStream::connect_timeout(&addr, DIAL_TIMEOUT)?);
+        c.stream().set_read_timeout(Some(Duration::from_secs(2)))?;
+        let corr = c.send_ping()?;
+        let frame = c.recv()?;
+        Ok(frame.ty == FrameType::Pong && frame.corr == corr)
     };
-    if died {
-        // Publish death BEFORE draining: the client thread's post-write
-        // check (`forward_binary`) relies on this order — a corr written
-        // concurrently with our death either lands in `inflight` before
-        // the drain (we answer it below) or after (the writer sees
-        // `dead`, removes it, and re-routes). Either way, exactly one
-        // reply, never zero.
-        dead.store(true, Ordering::SeqCst);
-        shared.mark_dead(shard);
-        let orphans: Vec<u64> = inflight
-            .lock()
-            .expect("inflight poisoned")
-            .drain()
-            .collect();
-        for corr in orphans {
-            send_client_err(
-                client,
-                corr,
-                ErrCode::Unavailable,
-                "shard connection lost; resubmit (requests are idempotent)",
-            );
-        }
-    }
-}
-
-fn handle_binary_client(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    let writer: ClientWriter = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut upstreams: HashMap<usize, BinUpstream> = HashMap::new();
-    let mut rbuf = vec![0u8; 64 * 1024];
-    let mut filled = 0usize;
-    let mut reader = stream;
-    loop {
-        match decode_frame(&rbuf[..filled]) {
-            Ok(DecodeStep::Ready { frame, consumed }) => {
-                rbuf.copy_within(consumed..filled, 0);
-                filled -= consumed;
-                if !dispatch_binary(shared, &writer, &mut upstreams, frame)? {
-                    return Ok(());
-                }
-            }
-            Ok(DecodeStep::Incomplete) => {
-                if rbuf.len() < filled + 64 * 1024 {
-                    rbuf.resize(filled + 64 * 1024, 0);
-                }
-                match reader.read(&mut rbuf[filled..]) {
-                    Ok(0) => return Ok(()),
-                    Ok(n) => filled += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            return Ok(());
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(e) => match e.recoverable() {
-                Some(skip) => {
-                    // Same contract as a single fpopd: report, skip the
-                    // frame, keep the connection.
-                    let corr = match &e {
-                        fpopb::DecodeError::BadType { corr, .. }
-                        | fpopb::DecodeError::ChecksumMismatch { corr, .. } => *corr,
-                        _ => 0,
-                    };
-                    send_client_err(&writer, corr, e.code(), &e.reason());
-                    rbuf.copy_within(skip..filled, 0);
-                    filled -= skip;
-                }
-                None => {
-                    send_client_err(&writer, 0, e.code(), &e.reason());
-                    return Ok(());
-                }
-            },
-        }
-    }
-}
-
-/// Handles one decoded client frame. Returns `false` to close the
-/// connection (router shutdown).
-fn dispatch_binary(
-    shared: &Arc<RouterShared>,
-    writer: &ClientWriter,
-    upstreams: &mut HashMap<usize, BinUpstream>,
-    frame: Frame,
-) -> std::io::Result<bool> {
-    match frame.ty {
-        FrameType::Hello => {
-            let mut body = Vec::new();
-            fpopb::w_varint(&mut body, u64::from(fpopb::VERSION));
-            send_client(writer, FrameType::HelloAck, frame.corr, &body)?;
-        }
-        FrameType::Ping => send_client(writer, FrameType::Pong, frame.corr, &[])?,
-        FrameType::Shutdown => {
-            send_client(writer, FrameType::Ok, frame.corr, b"shutting down")?;
-            shared.stop.store(true, Ordering::SeqCst);
-            return Ok(false);
-        }
-        FrameType::Checkpoint => match checkpoint_all(shared) {
-            Ok(n) => send_client(
-                writer,
-                FrameType::Ok,
-                frame.corr,
-                format!("checkpoint written on {n} shard(s)").as_bytes(),
-            )?,
-            Err(e) => send_client_err(writer, frame.corr, ErrCode::Failed, &e),
-        },
-        FrameType::SlowLog => {
-            forward_binary(shared, writer, upstreams, 0, frame);
-        }
-        FrameType::Submit => {
-            // Routing key = the request's content digest, the same key the
-            // engine dedups in-flight requests on.
-            let key = frame
-                .body
-                .split_first()
-                .and_then(|(_, rest)| fpopb::decode_request(rest, 0).ok())
-                .and_then(|(req, _)| req.dedup_key())
-                .unwrap_or(0);
-            forward_binary(shared, writer, upstreams, key, frame);
-        }
-        FrameType::SubmitTemplate => match fpopb::r_digest(&frame.body, 1) {
-            Ok((digest, _)) => {
-                forward_binary(shared, writer, upstreams, digest, frame);
-            }
-            Err(reason) => send_client_err(writer, frame.corr, ErrCode::Malformed, &reason),
-        },
-        FrameType::RegisterTemplate => match fpopb::decode_request(&frame.body, 0) {
-            Err(reason) => send_client_err(writer, frame.corr, ErrCode::Malformed, &reason),
-            Ok((req, _)) => match register_fleet_wide(shared, &req) {
-                Ok(digest) => {
-                    send_client(
-                        writer,
-                        FrameType::TemplateId,
-                        frame.corr,
-                        &digest.to_le_bytes(),
-                    )?;
-                }
-                Err(e) => send_client_err(writer, frame.corr, ErrCode::Failed, &e),
-            },
-        },
-        // Response frames have no business arriving at a server.
-        _ => send_client_err(
-            writer,
-            frame.corr,
-            ErrCode::Malformed,
-            "response frame sent to server",
-        ),
-    }
-    Ok(true)
-}
-
-/// Forwards one frame to the shard owning `key`, re-routing to the next
-/// live successor on write failure. The reply comes back asynchronously
-/// through the relay; a frame we could not hand to *any* shard is failed
-/// with [`ErrCode::Unavailable`].
-fn forward_binary(
-    shared: &Arc<RouterShared>,
-    writer: &ClientWriter,
-    upstreams: &mut HashMap<usize, BinUpstream>,
-    key: u64,
-    frame: Frame,
-) {
-    loop {
-        let Some(s) = shared.route(key) else {
-            send_client_err(
-                writer,
-                frame.corr,
-                ErrCode::Unavailable,
-                "no live shards (retry)",
-            );
-            return;
-        };
-        if upstreams.get(&s).map(|u| u.dead.load(Ordering::SeqCst)) == Some(true) {
-            upstreams.remove(&s);
-        }
-        let attempt = (|| -> std::io::Result<()> {
-            // Template fast path: make sure the target shard knows the
-            // digest before the submit lands on it.
-            if frame.ty == FrameType::SubmitTemplate {
-                ensure_registered(shared, s, key)?;
-            }
-            let up = match upstreams.entry(s) {
-                std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(BinUpstream::connect(shared, s, writer)?)
-                }
-            };
-            up.inflight
-                .lock()
-                .expect("inflight poisoned")
-                .insert(frame.corr);
-            let bytes = encode_frame(frame.ty, frame.corr, &frame.body);
-            up.writer.write_all(&bytes).inspect_err(|_| {
-                up.inflight
-                    .lock()
-                    .expect("inflight poisoned")
-                    .remove(&frame.corr);
-            })
-        })();
-        match attempt {
-            Ok(()) => {
-                // Post-write liveness check: the relay may have died (and
-                // drained its in-flight set) while we were writing. If it
-                // never saw our corr, no reply will ever come — reclaim
-                // the corr and re-route; if the drain did see it, the
-                // retryable error is already on its way to the client.
-                let up = upstreams.get(&s).expect("just used");
-                if up.dead.load(Ordering::SeqCst)
-                    && up
-                        .inflight
-                        .lock()
-                        .expect("inflight poisoned")
-                        .remove(&frame.corr)
-                {
-                    upstreams.remove(&s);
-                    shared.mark_dead(s);
-                    continue;
-                }
-                return;
-            }
-            Err(_) => {
-                upstreams.remove(&s);
-                shared.mark_dead(s);
-            }
-        }
-    }
-}
-
-/// Registers a template on every live shard (turn-based, short-lived
-/// connections) and records it for lazy replay to shards that join or
-/// rejoin later. Returns the digest, which is the request's
-/// [`Request::dedup_key`] on every shard by construction.
-fn register_fleet_wide(shared: &Arc<RouterShared>, req: &Request) -> Result<u64, String> {
-    let Some(digest) = req.dedup_key() else {
-        // Mirror the engine's refusal wording for a non-keyable request.
-        return Err("request kind cannot be registered as a template".to_string());
-    };
-    shared
-        .templates
-        .lock()
-        .expect("templates poisoned")
-        .insert(digest, req.clone());
-    let mut registered_anywhere = false;
-    for i in 0..shared.shards.len() {
-        if !shared.shards[i].alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        match register_on(shared.shards[i].addr, req) {
-            Ok(d) if d == digest => {
-                shared.registered.lock().expect("registered poisoned")[i].insert(digest);
-                registered_anywhere = true;
-            }
-            Ok(_) | Err(_) => shared.mark_dead(i),
-        }
-    }
-    if registered_anywhere {
-        Ok(digest)
-    } else {
-        Err("no live shards accepted the template".to_string())
-    }
-}
-
-/// Lazily replays a recorded template to one shard (no-op when already
-/// registered there, or when the digest never passed through us — the
-/// shard then answers the submit itself, correctly, with an error).
-fn ensure_registered(shared: &Arc<RouterShared>, shard: usize, digest: u64) -> std::io::Result<()> {
-    if shared.registered.lock().expect("registered poisoned")[shard].contains(&digest) {
-        return Ok(());
-    }
-    let req = shared
-        .templates
-        .lock()
-        .expect("templates poisoned")
-        .get(&digest)
-        .cloned();
-    let Some(req) = req else { return Ok(()) };
-    let got = register_on(shared.shards[shard].addr, &req)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("template replay: {e}")))?;
-    if got == digest {
-        shared.registered.lock().expect("registered poisoned")[shard].insert(digest);
-    }
-    Ok(())
-}
-
-/// One synchronous template registration against a shard.
-fn register_on(addr: SocketAddr, req: &Request) -> std::io::Result<u64> {
-    let mut c = fpopb::Client::connect(addr)?;
-    c.stream().set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
-    c.register_template(req)
-}
-
-/// Checkpoints every live shard (turn-based, short-lived connections).
-fn checkpoint_all(shared: &RouterShared) -> Result<usize, String> {
-    let mut done = 0usize;
-    let mut last_err = None;
-    for i in 0..shared.shards.len() {
-        if !shared.shards[i].alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let r = (|| -> std::io::Result<()> {
-            let mut c = fpopb::Client::connect(shared.shards[i].addr)?;
-            c.stream().set_read_timeout(Some(UPSTREAM_TIMEOUT))?;
-            let corr = c.send_checkpoint()?;
-            let frame = c.recv()?;
-            match frame.ty {
-                FrameType::Ok if frame.corr == corr => Ok(()),
-                FrameType::Err => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    String::from_utf8_lossy(&frame.body[1.min(frame.body.len())..]).into_owned(),
-                )),
-                _ => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "unexpected checkpoint reply",
-                )),
-            }
-        })();
-        match r {
-            Ok(()) => done += 1,
-            Err(e) => last_err = Some(format!("shard {i}: {e}")),
-        }
-    }
-    match (done, last_err) {
-        (0, Some(e)) => Err(e),
-        (0, None) => Err("no live shards".to_string()),
-        (n, _) => Ok(n),
-    }
+    pong().unwrap_or(false)
 }
 
 // ---------------------------------------------------------------------------
@@ -942,8 +678,9 @@ pub struct Fleet {
     pub shards: Vec<FleetShard>,
     /// The router's address — point clients here.
     pub addr: SocketAddr,
+    registry: Arc<trace::Registry>,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<std::io::Result<()>>>,
+    handle: JoinHandle<std::io::Result<()>>,
 }
 
 impl Fleet {
@@ -965,16 +702,25 @@ impl Fleet {
             shards: shards.iter().map(|s| s.addr).collect(),
             probe_interval: Duration::from_millis(50),
         };
+        let registry = Arc::new(trace::Registry::new());
         let handle = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || serve_router(config, listener, stop))
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || run_router(config, listener, &stop, registry))
         };
         Ok(Fleet {
             shards,
             addr,
+            registry,
             stop,
-            handle: Some(handle),
+            handle,
         })
+    }
+
+    /// The router's own metrics registry: the connection layer's
+    /// `engine_conn_*` counters for the router's client connections.
+    pub fn router_registry(&self) -> &trace::Registry {
+        &self.registry
     }
 
     /// Starts `n` identical default-config shards (no snapshots, no
@@ -1008,28 +754,12 @@ impl Fleet {
     /// The first failure, after attempting every component.
     pub fn stop(mut self) -> std::io::Result<()> {
         self.stop.store(true, Ordering::SeqCst);
-        let mut first_err = None;
-        if let Some(h) = self.handle.take() {
-            match h.join() {
-                Ok(r) => {
-                    if let (Err(e), None) = (r, &first_err) {
-                        first_err = Some(e);
-                    }
-                }
-                Err(_) => {
-                    first_err.get_or_insert_with(|| std::io::Error::other("router panicked"));
-                }
-            }
-        }
-        for shard in &mut self.shards {
-            if let (Err(e), true) = (shard.stop(), first_err.is_none()) {
-                first_err = Some(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let router = self
+            .handle
+            .join()
+            .unwrap_or_else(|_| Err(std::io::Error::other("router panicked")));
+        let shards: Vec<_> = self.shards.iter_mut().map(FleetShard::stop).collect();
+        router.and(shards.into_iter().collect())
     }
 }
 

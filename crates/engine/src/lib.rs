@@ -25,19 +25,21 @@
 //!   or stale snapshots are rejected loudly and the engine falls back to
 //!   a cold cache.
 //! * [`proto`] — the line-based text protocol over the library API, and
-//!   the server entry point: on unix it serves both protocols through
-//!   the nonblocking connection layer; elsewhere it falls back to the
-//!   legacy blocking text loop.
+//!   the one server entry point, [`proto::serve`]: both protocols through
+//!   the nonblocking connection layer. Unix only — there is no blocking
+//!   fallback, and `fpopd` exits on other platforms.
 //! * [`fpopb`] — the `fpopb/1` **binary frame protocol**: varint-framed,
 //!   checksum-trailed, **pipelined** (correlation ids, out-of-order
 //!   completion) with pre-elaborated **template requests** served from a
 //!   memoized response registry. Spec in `docs/PROTOCOL.md`.
 //! * [`poll`] *(unix)* — a std-only readiness abstraction (hand-rolled
 //!   epoll on Linux, poll(2) elsewhere) with a cross-thread waker.
-//! * [`conn`] *(unix)* — the nonblocking event-loop server: one poller
-//!   thread multiplexes every connection, sniffs the protocol by first
-//!   byte, batches response writes per readiness turn, and receives
-//!   worker-pool completions through the waker.
+//! * `conn` *(unix, private)* — the nonblocking event loop, the one
+//!   server loop of `fpopd` and `fpoprouter`: one poller thread
+//!   multiplexes every connection, sniffs the protocol by first byte,
+//!   answers `Hello`/`Ping`/`Shutdown` and malformed input itself, hands
+//!   every other request to a backend — the local engine or the fleet
+//!   router — and batches response writes per readiness turn.
 //! * [`term_parse`] — the closed-term surface grammar of the protocol's
 //!   `eval` request, which evaluates terms under a registered family's
 //!   signature via the session's digest-keyed compiled-code cache (the
@@ -49,7 +51,8 @@
 //!   `FPOPSNAP` segments plus `FPOPDIFF` chains, published at checkpoint
 //!   and replayed at boot so a restarted replica catches up by delta.
 //! * [`fleet`] *(unix)* — the consistent-hash router in front of N fpopd
-//!   shards: digest-keyed routing over both wire protocols, shard-death
+//!   shards, a backend of the same event loop: digest-keyed routing over
+//!   one pipelined `fpopb/1` upstream per live shard, shard-death
 //!   detection with re-routing, and re-admission after restart.
 //!
 //! ## Warm restart, the headline property
@@ -77,7 +80,7 @@
 #![warn(missing_docs)]
 
 #[cfg(unix)]
-pub mod conn;
+mod conn;
 pub mod diff;
 pub mod engine;
 #[cfg(unix)]

@@ -1,12 +1,13 @@
 //! A minimal readiness-polling abstraction for the nonblocking
-//! connection layer ([`crate::conn`]).
+//! connection layer, the one server loop of `fpopd` and `fpoprouter`.
 //!
 //! Std-only by discipline: the syscalls are declared `extern "C"`
 //! directly (std already links the platform libc, so no crate is
 //! added). On Linux the backend is **epoll** (level-triggered) with an
 //! **eventfd** waker; on other unix it is **poll(2)** with a self-pipe
 //! waker. Non-unix builds exclude this module entirely (`lib.rs` gates
-//! it `#[cfg(unix)]`) and fall back to the legacy blocking text server.
+//! it `#[cfg(unix)]`): there is no blocking fallback, and the servers
+//! are unix-only.
 //!
 //! The surface is deliberately tiny — register/modify/deregister a raw
 //! fd under a caller-chosen token, wait for events, and a [`Waker`]
@@ -33,11 +34,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Readable and writable.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness event out of [`Poller::wait`].
@@ -50,9 +46,10 @@ pub struct Event {
     pub readable: bool,
     /// The fd is writable.
     pub writable: bool,
-    /// Peer hangup / error was flagged by the OS. `conn` treats this as
-    /// "read until it fails", not an instant drop — bytes already
-    /// buffered by the kernel are still served.
+    /// Peer hangup / error was flagged by the OS. With read interest
+    /// this means "read until it fails", not an instant drop — bytes
+    /// already buffered by the kernel are still served. Without it (a
+    /// connection that already read EOF) the peer is gone.
     pub hangup: bool,
 }
 
@@ -124,9 +121,12 @@ mod imp {
         }
 
         fn ctl(&self, op: i32, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let mut events = EPOLLRDHUP;
+            // EPOLLRDHUP only with read interest: level-triggered, it
+            // would otherwise fire on every wait once the peer shuts its
+            // write side.
+            let mut events = 0;
             if interest.readable {
-                events |= EPOLLIN;
+                events |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.writable {
                 events |= EPOLLOUT;
@@ -251,7 +251,7 @@ mod imp {
 
     /// The poll(2)-backed poller: keeps the registration table in user
     /// space and rebuilds the `pollfd` array per wait. O(n) per turn,
-    /// fine for the connection counts a test/fallback host sees.
+    /// fine for the connection counts a non-Linux test host sees.
     pub struct Poller {
         entries: Vec<(RawFd, usize, Interest)>,
     }
@@ -289,11 +289,8 @@ mod imp {
                 .iter()
                 .map(|&(fd, _, interest)| PollFd {
                     fd,
-                    events: if interest.writable {
-                        POLLIN | POLLOUT
-                    } else {
-                        POLLIN
-                    },
+                    events: if interest.readable { POLLIN } else { 0 }
+                        | if interest.writable { POLLOUT } else { 0 },
                     revents: 0,
                 })
                 .collect();
@@ -413,8 +410,9 @@ impl Poller {
 /// Wakes a [`Poller::wait`] from another thread.
 ///
 /// Internally an eventfd (Linux) or self-pipe (other unix) registered in
-/// the poller under a reserved token by [`crate::conn`]. Cloneable and
-/// cheap: worker-pool completion hooks each hold one.
+/// the poller under a reserved token by the connection layer's engine
+/// backend. Cloneable and cheap: worker-pool completion hooks each hold
+/// one.
 pub struct Waker {
     inner: Arc<WakerInner>,
 }
@@ -560,5 +558,30 @@ mod tests {
             .unwrap();
         let ev = events.iter().find(|e| e.token == 3).expect("event");
         assert!(ev.readable, "hangup surfaces as readable (read -> 0)");
+    }
+
+    #[test]
+    fn half_closed_peer_is_quiet_without_read_interest() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::net::TcpStream::connect(addr).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let mut poller = Poller::new().unwrap();
+        // A connection that has read EOF is watched for nothing (or for
+        // writability while it has bytes to write).
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        poller.register(server.as_raw_fd(), 4, none).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(
+            events.is_empty(),
+            "a half-closed peer woke a poller that asked for no reads: {events:?}"
+        );
     }
 }

@@ -23,16 +23,13 @@
 //! The protocol is deliberately dumb: it exists so the warm-restart demo
 //! and ops tooling can poke a resident engine with `nc`, not as an RPC
 //! framework. Anything structured should use the library API.
-
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+//!
+//! [`serve`] is the one server entry point (unix only): the event loop
+//! that speaks this protocol and `fpopb/1` on one port. There is no
+//! blocking fallback.
 
 use families_stlc::Feature;
 
-use crate::engine::Engine;
 use crate::request::{EngineError, Priority, Request, Response};
 
 /// Escapes a payload onto one protocol line.
@@ -276,130 +273,25 @@ pub fn render_result(result: &Result<Response, EngineError>) -> String {
     }
 }
 
-/// Serves the wire protocols on `listener` until `stop` is set
-/// (typically by a client's `shutdown`). On unix this delegates to the
-/// nonblocking event-loop server ([`crate::conn::serve`]), which speaks
-/// **both** the text protocol and the pipelined binary `fpopb/1`
-/// protocol on the same port via first-byte sniffing. On other
-/// platforms it falls back to [`serve_blocking`] (text only).
+/// Serves both wire protocols on `listener` until `stop` is set
+/// (typically by a client's `shutdown`): the newline-delimited text
+/// protocol and the pipelined binary `fpopb/1` protocol, on the same
+/// port via first-byte sniffing. This is the nonblocking event loop of
+/// the connection layer (the `conn` module), with `engine` as its
+/// backend — the same loop the fleet router runs. Unix only: `poll`
+/// covers epoll (Linux) and poll(2) (other unix).
 ///
 /// # Errors
 ///
 /// Propagates fatal listener errors; per-connection I/O errors just drop
 /// that connection.
+#[cfg(unix)]
 pub fn serve(
-    engine: Arc<Engine>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
+    engine: std::sync::Arc<crate::Engine>,
+    listener: std::net::TcpListener,
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
 ) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        crate::conn::serve(engine, listener, stop)
-    }
-    #[cfg(not(unix))]
-    {
-        serve_blocking(engine, listener, stop)
-    }
-}
-
-/// The legacy blocking text-protocol server: thread per connection, one
-/// request per turn, no binary protocol. Kept as the non-unix fallback
-/// and as the differential baseline the event-loop server is tested
-/// against.
-///
-/// # Errors
-///
-/// As for [`serve`].
-pub fn serve_blocking(
-    engine: Arc<Engine>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut handles = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                handles.push(std::thread::spawn(move || {
-                    let _ = handle_connection(engine, stream, stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    Ok(())
-}
-
-fn handle_connection(
-    engine: Arc<Engine>,
-    stream: TcpStream,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    // Bounded read timeout so an idle connection re-checks the stop flag
-    // instead of pinning its thread past server shutdown.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match parse_command(&line) {
-            Err(e) => format!("err {}", escape(&e)),
-            Ok(Command::Ping) => "ok pong".to_string(),
-            Ok(Command::Shutdown) => {
-                stop.store(true, Ordering::SeqCst);
-                writeln!(writer, "ok shutting down")?;
-                return Ok(());
-            }
-            Ok(Command::SlowLog) => {
-                format!("ok {}", escape(&render_slow_log(&engine.slow_log())))
-            }
-            Ok(Command::Checkpoint) => match engine.checkpoint() {
-                Ok(Some(bytes)) => format!("ok checkpoint written ({bytes} bytes)"),
-                // A store-only shard (the fleet's usual shape) has no
-                // local snapshot but the publish did happen — say so.
-                Ok(None) if engine.has_shared_store() => {
-                    "ok checkpoint published to shared store (no local snapshot)".to_string()
-                }
-                Ok(None) => "err no snapshot path configured".to_string(),
-                Err(e) => format!("err {}", escape(&e.to_string())),
-            },
-            Ok(Command::Submit(request, priority)) => {
-                let result = engine
-                    .submit_with(request, priority, None)
-                    .and_then(|ticket| ticket.wait());
-                render_result(&result)
-            }
-        };
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
-    }
+    crate::conn::run(crate::conn::EngineBackend::new(engine)?, listener, &stop)
 }
 
 #[cfg(test)]

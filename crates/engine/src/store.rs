@@ -45,6 +45,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fpop::{ExportEntry, Session};
 
@@ -109,7 +110,11 @@ impl SharedStore {
             // published (by us or a sibling shard).
             return Ok(());
         }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        // One temp name per writer: shards of one process may publish the
+        // same segment concurrently (a fleet checkpoint fans out at once).
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{n}", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(bytes)?;

@@ -475,6 +475,41 @@ fn checkpoint_on_a_store_only_shard_is_ok_not_err() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A client that shuts its write side right after its lines (`printf … |
+/// nc`) still gets every reply, in order, and then the server closes the
+/// connection instead of watching it spin.
+#[test]
+fn half_closed_text_client_gets_every_reply() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let engine = Arc::new(Engine::start(no_snapshot(2)));
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let (engine, stop) = (Arc::clone(&engine), Arc::clone(&stop));
+        std::thread::spawn(move || proto::serve(engine, listener, stop))
+    };
+
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(format!("check {}\nping\n", proto::escape(PEANO)).as_bytes())
+        .unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut replies = String::new();
+    std::io::Read::read_to_string(&mut conn, &mut replies).unwrap();
+    let lines: Vec<&str> = replies.lines().collect();
+    assert_eq!(lines.len(), 2, "got: {replies:?}");
+    assert!(lines[0].contains("flip_two"), "got: {replies:?}");
+    assert_eq!(lines[1], "ok pong");
+
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    server.join().unwrap().unwrap();
+    let reg = engine.session().registry();
+    assert_eq!(
+        reg.counter_value("engine_conn_accepted_total"),
+        reg.counter_value("engine_conn_closed_total")
+    );
+    engine.shutdown().unwrap();
+}
+
 #[test]
 fn eval_serves_terms_from_the_session_code_cache() {
     let e = Engine::start(no_snapshot(2));

@@ -21,7 +21,7 @@
 
 #![cfg(unix)]
 
-use engine::fleet::Fleet;
+use engine::fleet::{Fleet, Ring};
 use engine::fpopb::{Client, ErrCode, Reply};
 use engine::proto::render_response;
 use engine::snapshot::encode_snapshot;
@@ -224,7 +224,10 @@ fn fleet_matches_single_engine_across_shard_counts() {
 }
 
 /// The router speaks the text protocol too: line-based requests route by
-/// the same digests and answer with the same canonical payloads.
+/// the same digests and answer with the same canonical payloads. The
+/// batch goes out in one write before any reply is read, routed to both
+/// shards: the router forwards each line as soon as it is parsed, and
+/// the n-th reply still answers the n-th line.
 #[test]
 fn text_protocol_routes_through_the_fleet() {
     use std::io::{BufRead, BufReader, Write};
@@ -236,34 +239,59 @@ fn text_protocol_routes_through_the_fleet() {
     });
     let fleet = Fleet::start_default(2).expect("fleet start");
 
-    let stream = std::net::TcpStream::connect(fleet.addr).expect("connect");
+    let mut stream = std::net::TcpStream::connect(fleet.addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut send = |line: &str| -> String {
-        let mut s = stream.try_clone().expect("clone");
-        writeln!(s, "{line}").expect("write");
+    let mut read_reply = || -> String {
         let mut reply = String::new();
         reader.read_line(&mut reply).expect("read");
         reply.trim_end().to_string()
     };
 
-    assert_eq!(send("ping"), "ok pong");
+    writeln!(stream, "ping").expect("write");
+    assert_eq!(read_reply(), "ok pong");
 
-    for _ in 0..6 {
-        let p = gen_vernacular(&mut r);
+    // At least six programs, and enough that both shards own some.
+    let ring = Ring::new(2);
+    let mut requests = Vec::new();
+    let mut shards_hit = [false; 2];
+    while requests.len() < 6 || !shards_hit.iter().all(|&hit| hit) {
+        assert!(
+            requests.len() < 64,
+            "no program routed to one of the shards"
+        );
         let req = Request::CheckSource {
-            source: p.source.clone(),
+            source: gen_vernacular(&mut r).source,
         };
-        let line = send(&format!("check {}", engine::proto::escape(&p.source)));
+        let key = req.dedup_key().expect("checks have digests");
+        if let Some(s) = ring.route(key, &[true, true]) {
+            shards_hit[s] = true;
+        }
+        requests.push(req);
+    }
+    let mut batch = String::new();
+    for req in &requests {
+        let Request::CheckSource { source } = req else {
+            unreachable!("only checks are generated")
+        };
+        batch.push_str(&format!("check {}\n", engine::proto::escape(source)));
+    }
+    stream.write_all(batch.as_bytes()).expect("write batch");
+
+    for req in &requests {
+        let Request::CheckSource { source } = req else {
+            unreachable!("only checks are generated")
+        };
+        let line = read_reply();
         let (verdict, payload) = line.split_once(' ').expect("verdict payload");
         let got = match verdict {
             "ok" => Canonical::Ok(canonical_ok(
-                &req,
+                req,
                 &engine::proto::unescape(payload).expect("unescape"),
             )),
             "err" => {
                 // The text protocol carries no error code; compare reasons.
                 let reason = engine::proto::unescape(payload).expect("unescape");
-                match expected(&reference, &req) {
+                match expected(&reference, req) {
                     Canonical::Err(_, want_reason) => {
                         assert_eq!(reason, want_reason, "text error reason diverged");
                         continue;
@@ -275,9 +303,8 @@ fn text_protocol_routes_through_the_fleet() {
         };
         assert_eq!(
             got,
-            expected(&reference, &req),
-            "text payload diverged on:\n{}",
-            p.source
+            expected(&reference, req),
+            "text payload diverged on:\n{source}"
         );
     }
 

@@ -23,7 +23,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use engine::conn;
 use engine::fpopb::{self, Reply};
 use engine::proto;
 use engine::request::{Priority, Request};
@@ -163,7 +162,7 @@ fn start_server() -> TestServer {
     let server = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || conn::serve(engine, listener, stop))
+        std::thread::spawn(move || proto::serve(engine, listener, stop))
     };
     TestServer {
         engine,
